@@ -71,17 +71,9 @@ def load_analogy_dataset(path) -> dict[str, list[tuple[str, str, str, str]]]:
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based), ties get the mean of their rank range."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inv, counts = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True,
+                               return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
 
 
 def spearman_rho(xs, ys) -> float:
@@ -117,22 +109,10 @@ class Evaluator:
             raise ValueError(f"which must be 'composed' or 'word_id', got {which!r}")
         self.which = which
         self.vocab = ckpt.vocab
-        self.model = ckpt.model()
-        m = self.model
-        if len(m.chars):
-            feats, _, _, _ = m._char_features(np.arange(len(m.chars), dtype=np.int64))
-            self._char_feats = feats.astype(np.float64)
-        else:
-            self._char_feats = np.zeros((0, ckpt.config.dim))
+        self.model = m = ckpt.model()
+        self._char_feats = m.char_features().astype(np.float64)
         if which == "composed":
-            rows = []
-            for wid, w in enumerate(self.vocab.words):
-                vec = m.tables.word_id_vecs[wid].astype(np.float64)
-                cids = m.word_char_ids[wid]
-                if (m.use_ngrams or m.use_glyphs) and len(cids):
-                    vec = vec + self._char_feats[cids].sum(axis=0) / len(cids)
-                rows.append(vec)
-            self.matrix = np.stack(rows)
+            self.matrix = m.compose(np.arange(len(self.vocab)), self._char_feats)
         else:
             self.matrix = m.tables.word_id_vecs.astype(np.float64)
         norms = np.linalg.norm(self.matrix, axis=1)
@@ -181,9 +161,10 @@ class Evaluator:
 
     # -- analogy ---------------------------------------------------------
 
-    def _analogy_mask(self, a: str, b: str, h: str) -> np.ndarray:
+    def _candidates(self, *exclude: str) -> np.ndarray:
+        """Mask of usable vocabulary rows, without the given tokens."""
         mask = self._usable.copy()
-        for tok in (a, b, h):
+        for tok in exclude:
             wid = self.vocab.id_of.get(tok)
             if wid is not None:
                 mask[wid] = False
@@ -193,7 +174,7 @@ class Evaluator:
         """argmax_t cos(t, b - a + h) over the vocabulary, excluding a, b, h."""
         target = self._unit_vector(b) - self._unit_vector(a) + self._unit_vector(h)
         scores = self._unit @ target
-        scores[~self._analogy_mask(a, b, h)] = -np.inf
+        scores[~self._candidates(a, b, h)] = -np.inf
         return self.vocab.words[int(np.argmax(scores))]
 
     def analogy_3cosmul(self, a: str, b: str, h: str) -> str:
@@ -203,7 +184,7 @@ class Evaluator:
         cb = (1.0 + self._unit @ self._unit_vector(b)) / 2.0
         ch = (1.0 + self._unit @ self._unit_vector(h)) / 2.0
         scores = cb * ch / (ca + EPS_3COSMUL)
-        scores[~self._analogy_mask(a, b, h)] = -np.inf
+        scores[~self._candidates(a, b, h)] = -np.inf
         return self.vocab.words[int(np.argmax(scores))]
 
     def eval_analogy(self, groups: dict[str, list[tuple[str, str, str, str]]],
@@ -240,11 +221,7 @@ class Evaluator:
             raise ValueError(f"k must be >= 1, got {k}")
         u = self._unit_vector(token)
         scores = self._unit @ u
-        mask = self._usable.copy()
-        wid = self.vocab.id_of.get(token)
-        if wid is not None:
-            mask[wid] = False
-        ids = np.nonzero(mask)[0]
+        ids = np.nonzero(self._candidates(token))[0]
         # descending cosine, ties broken by ascending id
         order = ids[np.lexsort((ids, -scores[ids]))][:k]
         return [(self.vocab.words[i], float(scores[i])) for i in order]

@@ -7,13 +7,24 @@ the CNN feature of the character's glyph. The training objective per
 
     log sigma(w . e) + sum_{e'} log sigma(-(w . e'))
 
-which the optimizer ascends. Either channel can be disabled: with only
-the stroke channel the character feature is the plain n-gram sum; with
-both channels off the model is plain skip-gram on the word-ID table.
+which the optimizer ascends. A disabled channel's factor is 1, so with
+only the stroke channel the character feature is the plain n-gram sum;
+with both off it is 0 and the model is plain skip-gram on word-ID rows.
+
+Two CSR pairs index the characters: word w's registry characters are
+word_char_idx[word_char_ptr[w]:word_char_ptr[w + 1]] and character c's
+n-grams char_ngram_idx[char_ngram_ptr[c]:char_ngram_ptr[c + 1]], so
+composition is a flat gather plus a segment sum. For a batch with
+composed unique centers W and unique context rows C (positives and
+negatives), S[k, u] sums dJ/ds over the scores of center u against
+context k: 1 - sigma(s) for a positive, -sigma(s) for a negative. Then
+dJ/dC = S @ W and dJ/dW = S.T @ C, taken in blocks of d centers so that
+no block of S is larger than C.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +44,44 @@ def log_sigmoid(x):
     """log sigma(x) = -softplus(-x), branch on sign to avoid overflow."""
     x = np.asarray(x, dtype=np.float64)
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+
+
+CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds the im2col buffers
+
+
+def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of a list of index lists."""
+    ptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+    return ptr, np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=ptr[-1])
+
+
+def _csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray):
+    """Sub-CSR (indptr, entries) of the given rows, in their order."""
+    lens = ptr[rows + 1] - ptr[rows]
+    sub = np.concatenate(([0], np.cumsum(lens)))
+    return sub, idx[np.arange(sub[-1]) + np.repeat(ptr[rows] - sub[:-1], lens)]
+
+
+def _segment_sum(table: np.ndarray, idx: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Row i is the sum of table[idx[ptr[i]:ptr[i + 1]]] (0 if empty); segments
+    of one length are summed together, so the loop runs over distinct lengths."""
+    lens = np.diff(ptr)
+    out = np.zeros((len(lens), table.shape[1]), dtype=table.dtype)
+    for n in np.unique(lens[lens > 0]):
+        sel = np.flatnonzero(lens == n)
+        out[sel] = table[idx[ptr[sel, None] + np.arange(n)]].sum(axis=1)
+    return out
+
+
+def _group_sum(keys: np.ndarray, src: np.ndarray, pos: np.ndarray):
+    """(distinct keys, sum of src[pos[i]] over keys[i] == key); each key's
+    first row is a gather, and only its repeats go through np.add.at."""
+    ids, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    out = src[pos[first]]
+    rest = np.ones(len(keys), dtype=bool)
+    rest[first] = False
+    np.add.at(out, inv[rest], src[pos[rest]])
+    return ids, out
 
 
 @dataclass
@@ -109,72 +158,87 @@ class DweModel:
         self.use_ngrams = use_ngrams
         self.use_glyphs = use_glyphs
         self.dtype = tables.word_id_vecs.dtype
+        # a disabled channel's factor: 1, or 0 when both channels are off
+        self._identity = self.dtype.type(use_ngrams or use_glyphs)
 
         # Character registry over all CJK characters of vocabulary words.
         chars = sorted({c for w in vocab.words for c in w if is_cjk(c)})
         self.char_index = {c: i for i, c in enumerate(chars)}
         self.chars = chars
-        self.char_ngram_ids = [np.asarray(ngram_dict.per_char.get(c, []), dtype=np.int64)
-                               for c in chars]
-        self.char_bitmaps = np.zeros((len(chars), GLYPH_SIDE, GLYPH_SIDE), dtype=self.dtype)
-        for i, c in enumerate(chars):
-            bm = glyphs.get(c)
-            if bm is not None:
-                self.char_bitmaps[i] = np.asarray(bm, dtype=self.dtype)
-        self.word_char_ids = [np.array([self.char_index[c] for c in w if is_cjk(c)],
-                                       dtype=np.int64)
-                              for w in vocab.words]
+        self.char_ngram_ptr, self.char_ngram_idx = _csr(
+            [ngram_dict.per_char.get(c, []) for c in chars])
+        # read-only per-character views into the CSR
+        self.char_ngram_ids = tuple(self.char_ngram_idx[a:b] for a, b in
+                                    zip(self.char_ngram_ptr[:-1], self.char_ngram_ptr[1:]))
+        self.word_char_ptr, self.word_char_idx = _csr(
+            [[self.char_index[c] for c in w if is_cjk(c)] for w in vocab.words])
+        blank = np.zeros((GLYPH_SIDE, GLYPH_SIDE))
+        self.char_bitmaps = np.array([glyphs.get(c, blank) for c in chars],
+                                     dtype=self.dtype).reshape(-1, GLYPH_SIDE, GLYPH_SIDE)
 
     # -- composition ----------------------------------------------------
 
-    def _ngram_sums(self, char_ids: np.ndarray) -> np.ndarray:
-        """(len(char_ids), d) rows of sum_{g in G(c)} g."""
-        out = np.zeros((len(char_ids), self.tables.dim), dtype=self.tables.ngram_vecs.dtype)
-        for k, ci in enumerate(char_ids):
-            ids = self.char_ngram_ids[ci]
-            if len(ids):
-                out[k] = self.tables.ngram_vecs[ids].sum(axis=0)
+    def _char_factors(self, char_ids: np.ndarray):
+        """(s, v, CNN tape, n-gram sub-CSR) of registry characters, whose
+        features are s * v: n-gram sums times CNN outputs, or the identity."""
+        s = v = self._identity
+        tape = None
+        ngrams = _csr_rows(self.char_ngram_ptr, self.char_ngram_idx, char_ids)
+        if self.use_ngrams:
+            s = _segment_sum(self.tables.ngram_vecs, ngrams[1], ngrams[0])
+        if self.use_glyphs and len(char_ids):
+            v, tape = cnn_forward_batch(self.cnn, self.char_bitmaps[char_ids])
+        return s, v, tape, ngrams
+
+    def char_features(self, char_ids=None) -> np.ndarray:
+        """Features of registry characters (all by default); forward only,
+        CNN_CHUNK glyphs per CNN call."""
+        char_ids = np.arange(len(self.chars)) if char_ids is None else \
+            np.asarray(char_ids, dtype=np.int64)
+        out = np.empty((len(char_ids), self.tables.dim), dtype=self.dtype)
+        for lo in range(0, len(char_ids), CNN_CHUNK):
+            s, v, _, _ = self._char_factors(char_ids[lo:lo + CNN_CHUNK])
+            out[lo:lo + CNN_CHUNK] = s * v
         return out
-
-    def _char_features(self, char_ids: np.ndarray):
-        """Features for registry characters; returns (features, cnn_feats, tape).
-
-        Uses the factoring (sum g) * CNN(I_c) == sum (g * CNN(I_c)).
-        """
-        ngram_sums = self._ngram_sums(char_ids) if self.use_ngrams else None
-        cnn_feats, tape = (None, None)
-        if self.use_glyphs:
-            cnn_feats, tape = cnn_forward_batch(self.cnn, self.char_bitmaps[char_ids])
-        if self.use_ngrams and self.use_glyphs:
-            feats = ngram_sums * cnn_feats
-        elif self.use_ngrams:
-            feats = ngram_sums
-        elif self.use_glyphs:
-            feats = cnn_feats.copy()
-        else:
-            feats = np.zeros((len(char_ids), self.tables.dim), dtype=self.dtype)
-        return feats, ngram_sums, cnn_feats, tape
 
     def char_feature(self, char: str) -> np.ndarray:
         """Character feature vector; zero for characters with no n-gram data."""
         ci = self.char_index.get(char)
         if ci is None:
             raise KeyError(f"character {char!r} not in model registry")
-        feats, _, _, _ = self._char_features(np.array([ci], dtype=np.int64))
-        return feats[0]
+        return self.char_features([ci])[0]
+
+    def _compose(self, word_ids: np.ndarray, ptr: np.ndarray, feats: np.ndarray,
+                 pos: np.ndarray) -> np.ndarray:
+        """Word-ID rows plus the mean of feats[pos] over each word's segment."""
+        counts = np.maximum(np.diff(ptr), 1).astype(feats.dtype)[:, None]
+        return self.tables.word_id_vecs[word_ids].astype(feats.dtype) + \
+            _segment_sum(feats, pos, ptr) / counts
+
+    def compose(self, word_ids, char_feats: np.ndarray | None = None) -> np.ndarray:
+        """Composed vectors of vocabulary ids, one row each.
+
+        char_feats: features of every registry character (as from
+        char_features); the result takes their dtype. When omitted, the
+        words' characters are forwarded in the model dtype.
+        """
+        word_ids = np.asarray(word_ids, dtype=np.int64)
+        ptr, cids = _csr_rows(self.word_char_ptr, self.word_char_idx, word_ids)
+        if char_feats is None:
+            uchars, pos = np.unique(cids, return_inverse=True)
+            return self._compose(word_ids, ptr, self.char_features(uchars), pos)
+        return self._compose(word_ids, ptr, char_feats, cids)
 
     def compose_word(self, token: str) -> WordComposition:
         wid = self.vocab.id_of.get(token)
         if wid is None:
             raise KeyError(f"token {token!r} not in vocabulary")
-        char_ids = self.word_char_ids[wid]
-        vec = self.tables.word_id_vecs[wid].copy()
-        parts = []
-        if (self.use_ngrams or self.use_glyphs) and len(char_ids):
-            feats, _, _, _ = self._char_features(char_ids)
-            vec += feats.sum(axis=0) / len(char_ids)
-            parts = [CharPart(self.chars[ci], self.char_ngram_ids[ci], feats[k])
-                     for k, ci in enumerate(char_ids)]
+        wids = np.array([wid], dtype=np.int64)
+        ptr, cids = _csr_rows(self.word_char_ptr, self.word_char_idx, wids)
+        feats = self.char_features(cids)
+        parts = [CharPart(self.chars[ci], self.char_ngram_ids[ci], f)
+                 for ci, f in zip(cids, feats)]
+        vec = self._compose(wids, ptr, feats, np.arange(len(cids)))[0]
         return WordComposition(token, wid, parts, vec)
 
     # -- loss and gradients ----------------------------------------------
@@ -185,117 +249,62 @@ class DweModel:
 
         centers, contexts: (B,) ids; negatives: (B, lambda) ids.
         """
-        centers = np.asarray(centers, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        negatives = np.asarray(negatives, dtype=np.int64)
+        centers, contexts, negatives = (np.asarray(a, dtype=np.int64)
+                                        for a in (centers, contexts, negatives))
         if negatives.ndim != 2 or len(negatives) != len(centers) or len(contexts) != len(centers):
             raise ValueError("batch arrays have inconsistent shapes")
-        tbl = self.tables
-        d = tbl.dim
+        d = self.tables.dim
 
+        # compose the unique centers
         uc, inv = np.unique(centers, return_inverse=True)
-        use_chars = self.use_ngrams or self.use_glyphs
-        if use_chars:
-            all_char_ids = np.unique(np.concatenate(
-                [self.word_char_ids[w] for w in uc] or [np.zeros(0, dtype=np.int64)]))
-        else:
-            all_char_ids = np.zeros(0, dtype=np.int64)
-        char_pos = {int(ci): k for k, ci in enumerate(all_char_ids)}
-        if len(all_char_ids):
-            feats, ngram_sums, cnn_feats, tape = self._char_features(all_char_ids)
-        else:
-            feats = ngram_sums = cnn_feats = tape = None
+        wptr, cids = _csr_rows(self.word_char_ptr, self.word_char_idx, uc)
+        uchars, cpos = np.unique(cids, return_inverse=True)
+        s, v, tape, (gptr, gids) = self._char_factors(uchars)
+        W = self._compose(uc, wptr, np.broadcast_to(s * v, (len(uchars), d)), cpos)
 
-        # compose unique centers
-        W = tbl.word_id_vecs[uc].copy()
-        for u, wid in enumerate(uc):
-            cids = self.word_char_ids[wid]
-            if use_chars and len(cids):
-                rows = [char_pos[int(ci)] for ci in cids]
-                W[u] += feats[rows].sum(axis=0) / len(cids)
+        # column 0 scores the positive, the rest the negatives
+        ctx_all = np.concatenate([contexts[:, None], negatives], axis=1)
+        u_ctx, ctx_inv = np.unique(ctx_all.reshape(-1), return_inverse=True)
+        ctx_inv = ctx_inv.reshape(ctx_all.shape)
+        C = self.tables.context_vecs[u_ctx]
+        sign = np.r_[1.0, np.full(negatives.shape[1], -1.0)]
 
-        Wp = W[inv]                                   # (B, d)
-        ctx = tbl.context_vecs[contexts]              # (B, d)
-        neg = tbl.context_vecs[negatives]             # (B, L, d)
-        s_pos = np.einsum("bd,bd->b", Wp, ctx)
-        s_neg = np.einsum("bd,bld->bl", Wp, neg)
-        loss = float(log_sigmoid(s_pos).sum() + log_sigmoid(-s_neg).sum())
+        # S in blocks of d unique centers; pairs sorted by center
+        order = np.argsort(inv, kind="stable")
+        edges = np.append(np.arange(0, len(uc), d), len(uc))
+        cuts = np.searchsorted(inv[order], edges)
+        loss = 0.0
+        ctx_rows = np.zeros_like(C)
+        dW = np.empty_like(W)
+        for lo, hi, a, b in zip(edges[:-1], edges[1:], cuts[:-1], cuts[1:]):
+            rows, n = order[a:b], hi - lo
+            u, k = inv[rows, None] - lo, ctx_inv[rows]
+            ss = sign * (W[lo:hi] @ C.T)[u, k]               # signed scores
+            loss += float(log_sigmoid(ss).sum())
+            # S[k, u] sums dJ/ds = sign * sigma(-ss) over repeats of (u, k)
+            S = np.bincount((k * n + u).reshape(-1), weights=(sign * sigmoid(-ss)).reshape(-1),
+                            minlength=len(u_ctx) * n).reshape(len(u_ctx), n).astype(W.dtype)
+            ctx_rows += S @ W[lo:hi]
+            dW[lo:hi] = S.T @ C
 
-        g_pos = (1.0 - sigmoid(s_pos)).astype(Wp.dtype)       # dL/ds_pos
-        g_neg = (-sigmoid(s_neg)).astype(Wp.dtype)            # dL/ds_neg
-
-        # context-table rows (positives and negatives live in one table)
-        ctx_all = np.concatenate([contexts, negatives.reshape(-1)])
-        ctx_grad_all = np.concatenate([
-            g_pos[:, None] * Wp,
-            (g_neg[..., None] * Wp[:, None, :]).reshape(-1, d),
-        ])
-        u_ctx, ctx_inv = np.unique(ctx_all, return_inverse=True)
-        ctx_rows = np.zeros((len(u_ctx), d), dtype=Wp.dtype)
-        np.add.at(ctx_rows, ctx_inv, ctx_grad_all)
-
-        # gradient w.r.t. each composed center vector
-        dW_pair = g_pos[:, None] * ctx + np.einsum("bl,bld->bd", g_neg, neg)
-        dW = np.zeros_like(W)
-        np.add.at(dW, inv, dW_pair)
-
-        # word-ID rows get dW directly
-        word_rows = dW.copy()
-
-        # distribute into n-gram rows and CNN parameters
-        ngram_acc: dict[int, np.ndarray] = {}
-        cnn_grad_out = (np.zeros((len(all_char_ids), d), dtype=Wp.dtype)
-                        if self.use_glyphs and len(all_char_ids) else None)
-        if use_chars:
-            for u, wid in enumerate(uc):
-                cids = self.word_char_ids[wid]
-                if not len(cids):
-                    continue
-                coeff = dW[u] / len(cids)
-                for ci in cids:
-                    k = char_pos[int(ci)]
-                    if self.use_ngrams:
-                        if self.use_glyphs:
-                            g_row = coeff * cnn_feats[k]
-                        else:
-                            g_row = coeff
-                        for gid in self.char_ngram_ids[ci]:
-                            gid = int(gid)
-                            if gid in ngram_acc:
-                                ngram_acc[gid] = ngram_acc[gid] + g_row
-                            else:
-                                ngram_acc[gid] = g_row.copy()
-                    if self.use_glyphs:
-                        if self.use_ngrams:
-                            cnn_grad_out[k] += coeff * ngram_sums[k]
-                        else:
-                            cnn_grad_out[k] += coeff
-
-        if self.use_ngrams and ngram_acc:
-            ng_ids = np.array(sorted(ngram_acc), dtype=np.int64)
-            ng_rows = np.stack([ngram_acc[int(i)] for i in ng_ids])
-        else:
-            ng_ids = np.zeros(0, dtype=np.int64)
-            ng_rows = np.zeros((0, d), dtype=Wp.dtype)
-
-        cnn_grads = None
-        if self.use_glyphs and len(all_char_ids):
-            cnn_grads = cnn_backward_batch(self.cnn, tape, cnn_grad_out)
-
-        grads = Grads(uc, word_rows, u_ctx, ctx_rows, ng_ids, ng_rows, cnn_grads)
-        return loss, grads
+        # transpose of the mean: the gradient w.r.t. each character feature
+        counts = np.diff(wptr)
+        per_char = dW / np.maximum(counts, 1).astype(W.dtype)[:, None]
+        _, dF = _group_sum(cpos, per_char, np.repeat(np.arange(len(uc)), counts))
+        ng_ids, ng_rows = np.zeros(0, dtype=np.int64), np.zeros((0, d), dtype=W.dtype)
+        if self.use_ngrams:
+            gpos = np.repeat(np.arange(len(uchars)), np.diff(gptr))
+            ng_ids, ng_rows = _group_sum(gids, dF * v, gpos)
+        cnn_grads = None if tape is None else cnn_backward_batch(self.cnn, tape, dF * s)
+        return loss, Grads(uc, dW, u_ctx, ctx_rows, ng_ids, ng_rows, cnn_grads)
 
     def pair_loss_and_grads(self, center: int | str, context_id: int,
                             negative_ids: np.ndarray) -> tuple[float, Grads]:
         """Single-pair objective and gradients (batch of one)."""
         if isinstance(center, str):
             center = self.vocab.id_of[center]
-        negative_ids = np.asarray(negative_ids, dtype=np.int64)
-        return self.batch_loss_and_grads(
-            np.array([center], dtype=np.int64),
-            np.array([context_id], dtype=np.int64),
-            negative_ids[None],
-        )
+        return self.batch_loss_and_grads(np.array([center]), np.array([context_id]),
+                                         np.asarray(negative_ids, dtype=np.int64)[None])
 
 
 # -- adagrad -------------------------------------------------------------
@@ -316,5 +325,13 @@ def adagrad_step_rows(param: np.ndarray, accumulator: np.ndarray, ids: np.ndarra
     """Sparse row-wise variant; ids must be unique."""
     if len(ids) == 0:
         return
-    accumulator[ids] += grad_rows * grad_rows
-    param[ids] += lr * grad_rows / (np.sqrt(accumulator[ids]) + eps)
+    # the accumulator rows are read once; acc and step are updated in place
+    acc = accumulator[ids]
+    step = np.multiply(grad_rows, grad_rows)
+    acc += step
+    accumulator[ids] = acc
+    np.sqrt(acc, out=acc)
+    acc += eps
+    np.multiply(lr, grad_rows, out=step)
+    step /= acc
+    param[ids] += step                    # lr * g / (sqrt(acc) + eps)

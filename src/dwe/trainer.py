@@ -469,7 +469,10 @@ def load_checkpoint(path) -> Checkpoint:
     ngram_dict = StrokeNgramDict(ngram_ids, per_char, int(head["n_min"]),
                                  int(head["n_max"]), skipped)
 
-    (g_count,) = struct.unpack_from("<I", glyph_b, 0)
+    if len(glyph_b) < 4 or \
+            len(glyph_b) != 4 + struct.unpack_from("<I", glyph_b)[0] * (4 + GLYPH_BYTES):
+        raise CheckpointError(f"{name}: glyph section size does not match its record count")
+    (g_count,) = struct.unpack_from("<I", glyph_b)
     glyphs = {}
     off = 4
     for _ in range(g_count):
@@ -522,10 +525,9 @@ def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
     if which not in ("composed", "word_id"):
         raise ValueError(f"which must be 'composed' or 'word_id', got {which!r}")
     if which == "composed":
-        model = ckpt.model()
-        rows = [model.compose_word(w).vector for w in ckpt.vocab.words]
+        rows = ckpt.model().compose(np.arange(len(ckpt.vocab)))
     else:
-        rows = list(ckpt.tables.word_id_vecs)
+        rows = ckpt.tables.word_id_vecs
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(ckpt.vocab)} {ckpt.config.dim}\n")
         for token, vec in zip(ckpt.vocab.words, rows):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,6 +34,17 @@ def make_micro_model(seed=0, d=6, n_words=4, use_ngrams=True, use_glyphs=True,
     model = DweModel(vocab, ngram_dict, glyphs, tables, cnn,
                      use_ngrams=use_ngrams, use_glyphs=use_glyphs)
     return model
+
+
+def with_char_ngrams(model, edits):
+    """`model` rebuilt through its constructor, with the n-gram ids of some
+    characters replaced; `edits` maps a registry index to its new ids."""
+    per_char = dict(model.ngram_dict.per_char)
+    for ci, ids in edits.items():
+        per_char[model.chars[ci]] = [int(g) for g in ids]
+    glyphs = {c: model.char_bitmaps[i] for i, c in enumerate(model.chars)}
+    return DweModel(model.vocab, replace(model.ngram_dict, per_char=per_char), glyphs,
+                    model.tables, model.cnn, model.use_ngrams, model.use_glyphs)
 
 
 def central_difference(arr, index, loss_fn, h=1e-5):

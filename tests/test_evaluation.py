@@ -9,7 +9,7 @@ from dwe.evaluation import (Evaluator, SimilarityRecord,
                             load_analogy_dataset, load_similarity_dataset,
                             spearman_rho)
 from dwe.trainer import TrainingConfig, train
-from helpers import brute_3cosadd, brute_3cosmul, make_micro_model
+from helpers import brute_3cosadd, brute_3cosmul, make_micro_model, with_char_ngrams
 
 
 @pytest.fixture(scope="module")
@@ -279,8 +279,8 @@ class TestDatasetLoaders:
 
 
 def test_stroke_only_ablation_pins_identical_stroke_chars():
-    m = make_micro_model(seed=20, use_glyphs=False)
+    base = make_micro_model(seed=20, use_glyphs=False)
     # force two characters onto one stroke sequence
-    m.char_ngram_ids[1] = m.char_ngram_ids[0]
+    m = with_char_ngrams(base, {1: base.char_ngram_ids[0]})
     f0, f1 = m.char_feature(m.chars[0]), m.char_feature(m.chars[1])
     assert cosine(f0, f1) == 1.0

@@ -8,7 +8,7 @@ from dwe.glyph_cnn import cnn_forward, cnn_init
 from dwe.model import (DweModel, adagrad_step, adagrad_step_rows, init_tables,
                        log_sigmoid, score, sigmoid)
 from dwe.morphology import build_ngram_dict
-from helpers import check_grad_tensor, make_micro_model
+from helpers import check_grad_tensor, make_micro_model, with_char_ngrams
 
 
 class TestScore:
@@ -49,10 +49,9 @@ class TestLogSigmoid:
 
 class TestCharFeature:
     def test_empty_ngram_set_gives_zero(self):
-        m = make_micro_model(seed=0)
         # strip a character's n-grams
         ci = 0
-        m.char_ngram_ids[ci] = np.zeros(0, dtype=np.int64)
+        m = with_char_ngrams(make_micro_model(seed=0), {ci: []})
         assert (m.char_feature(m.chars[ci]) == 0).all()
 
     def test_direct_instantiation(self):
@@ -183,6 +182,41 @@ class TestPairLoss:
         for name, p, g in params:
             worst = check_grad_tensor(p, g, loss_fn, rng, max_coords=12)
             assert worst < 1e-4, f"{name}: rel err {worst}"
+
+
+@pytest.mark.parametrize("use_ngrams,use_glyphs",
+                         [(True, True), (True, False), (False, True), (False, False)])
+def test_batch_gradients_every_channel_setting(use_ngrams, use_glyphs):
+    # six words over d=4: more unique centers than d, so S is built in two
+    # blocks; character 1 has no n-grams and occurs in words 0 and 1
+    m = with_char_ngrams(make_micro_model(seed=21, d=4, n_words=6, use_ngrams=use_ngrams,
+                                          use_glyphs=use_glyphs), {1: []})
+    centers = np.array([0, 1, 0, 4, 2, 5, 3, 1])
+    contexts = np.array([1, 2, 3, 0, 5, 4, 2, 0])
+    # pair 0's context 1 is also one of its negatives, and pair 6's
+    negs = np.array([[1, 3], [4, 5], [2, 2], [1, 3], [0, 4], [2, 1], [2, 0], [3, 5]])
+    loss_fn = lambda: m.batch_loss_and_grads(centers, contexts, negs)[0]
+    loss, grads = m.batch_loss_and_grads(centers, contexts, negs)
+    pair_sum = sum(m.pair_loss_and_grads(c, x, n)[0] for c, x, n in zip(centers, contexts, negs))
+    assert abs(loss - pair_sum) < 1e-12
+    assert (grads.cnn is not None) == use_glyphs
+    assert len(grads.ngram_ids) > 0 or not use_ngrams
+
+    params = []
+    for name, table, ids, rows in (
+            ("word_id", m.tables.word_id_vecs, grads.word_id_ids, grads.word_id_rows),
+            ("context", m.tables.context_vecs, grads.context_ids, grads.context_rows),
+            ("ngram", m.tables.ngram_vecs, grads.ngram_ids, grads.ngram_rows)):
+        dense = np.zeros_like(table)
+        dense[ids] = rows
+        params.append((name, table, dense))
+    cnn_grads = grads.cnn if grads.cnn is not None else m.cnn.zeros_like()
+    params += [(f"cnn.{n}", p, g) for (n, p), (_, g)
+               in zip(m.cnn.tensors(), cnn_grads.tensors())]
+    rng = np.random.default_rng(22)
+    for name, p, g in params:
+        worst = check_grad_tensor(p, g, loss_fn, rng, max_coords=12)
+        assert worst < 1e-4, f"{name}: rel err {worst}"
 
 
 class TestSkipGramDegeneracy:

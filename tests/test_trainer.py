@@ -137,6 +137,20 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(p)
 
+    def test_inflated_glyph_count(self, trained, tmp_path):
+        from dwe.cli import run
+        blob = bytearray(dump_checkpoint(trained))
+        off = 6  # magic and version; config, vocab and n-gram sections follow
+        for _ in range(3):
+            off += 8 + int.from_bytes(blob[off:off + 8], "little")
+        count = int.from_bytes(blob[off + 8:off + 12], "little")
+        blob[off + 8:off + 12] = (count + 1).to_bytes(4, "little")
+        p = tmp_path / "g.dwe"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="glyph section"):
+            load_checkpoint(p)
+        assert run(["nn", "--model", str(p), "--word", trained.vocab.words[0]]) == 2
+
 
 class TestExport:
     def test_line_count(self, trained, tmp_path):
