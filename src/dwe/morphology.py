@@ -180,36 +180,38 @@ def load_glyph_pack(path) -> dict[str, np.ndarray]:
 
 
 def parse_glyph_pack(data: bytes, name: str = "<glyph pack>") -> dict[str, np.ndarray]:
-    head = len(GLYPH_MAGIC) + 1 + 4
-    if len(data) < head or data[:4] != GLYPH_MAGIC:
+    if len(data) < len(GLYPH_MAGIC) + 1 or data[:4] != GLYPH_MAGIC:
         raise GlyphPackError(f"{name}: bad magic")
     if data[4] != GLYPH_VERSION:
         raise GlyphPackError(f"{name}: unsupported version {data[4]}")
-    (count,) = struct.unpack_from("<I", data, 5)
+    return parse_glyph_records(memoryview(data)[5:], name)
+
+
+def parse_glyph_records(data: bytes | memoryview, name: str) -> dict[str, np.ndarray]:
+    """Decode a u32 record count and then each record, a u32 codepoint and
+    a packed bitmap: a glyph pack without its magic and version."""
     rec_size = 4 + GLYPH_BYTES
-    if len(data) != head + count * rec_size:
+    count = struct.unpack_from("<I", data)[0] if len(data) >= 4 else 0
+    if len(data) != 4 + count * rec_size:
         raise GlyphPackError(f"{name}: truncated (header says {count} records)")
     glyphs: dict[str, np.ndarray] = {}
-    off = head
-    for _ in range(count):
+    for off in range(4, len(data), rec_size):
         (cp,) = struct.unpack_from("<I", data, off)
         ch = chr(cp)
         if ch in glyphs:
             raise GlyphPackError(f"{name}: duplicate codepoint U+{cp:04X}")
         glyphs[ch] = unpack_bitmap(data[off + 4:off + rec_size])
-        off += rec_size
     return glyphs
 
 
 def dump_glyph_pack(glyphs: dict[str, np.ndarray]) -> bytes:
-    blob = bytearray()
-    blob += GLYPH_MAGIC
-    blob.append(GLYPH_VERSION)
-    blob += struct.pack("<I", len(glyphs))
-    for ch in sorted(glyphs):
-        blob += struct.pack("<I", ord(ch))
-        blob += pack_bitmap(glyphs[ch])
-    return bytes(blob)
+    return GLYPH_MAGIC + bytes([GLYPH_VERSION]) + dump_glyph_records(glyphs)
+
+
+def dump_glyph_records(glyphs: dict[str, np.ndarray]) -> bytes:
+    """The record count and the records of `glyphs`, sorted by codepoint."""
+    return struct.pack("<I", len(glyphs)) + b"".join(
+        struct.pack("<I", ord(ch)) + pack_bitmap(glyphs[ch]) for ch in sorted(glyphs))
 
 
 def write_glyph_pack(glyphs: dict[str, np.ndarray], path) -> None:

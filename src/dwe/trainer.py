@@ -11,6 +11,9 @@ are applied by a single reducer.
 """
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import queue
 import struct
 import sys
@@ -24,9 +27,9 @@ from .corpus import NegativeSampler, Vocab, build_vocab, context_pairs, read_sen
 from .glyph_cnn import CnnParams, cnn_init
 from .model import (DweModel, EmbeddingTables, adagrad_step, adagrad_step_rows,
                     init_tables)
-from .morphology import (GLYPH_BYTES, StrokeNgramDict, build_ngram_dict, is_cjk,
-                         load_glyph_pack, load_stroke_table, pack_bitmap,
-                         unpack_bitmap)
+from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict,
+                         dump_glyph_records, is_cjk, load_glyph_pack, load_stroke_table,
+                         parse_glyph_records)
 
 CHECKPOINT_MAGIC = b"DWE1"
 CHECKPOINT_VERSION = 1
@@ -355,169 +358,156 @@ def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoin
 
 
 # -- serialization ---------------------------------------------------------
+#
+# A v1 checkpoint is CHECKPOINT_MAGIC, a u16 version, and eight sections, each
+# a u64 byte length and its payload, in the order `_write_checkpoint` writes
+# and `load_checkpoint` reads them: config, vocab and n-gram dictionary as
+# UTF-8 lines, the glyph records of a glyph pack, the three `_float_sections`,
+# and the epoch and step counters.
 
-def _section(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
+def _float_sections(ckpt: Checkpoint) -> list[list[tuple[object, str]]]:
+    """The tables, CNN and accumulator sections, each a list of the (owner,
+    attribute) of its arrays in file order. Arrays are stored as `<f4`."""
+    t, a = ckpt.tables, ckpt.accum
+    return [[(t, "word_id_vecs"), (t, "context_vecs"), (t, "ngram_vecs")],
+            [(ckpt.cnn, f) for f in CnnParams.FIELDS],
+            [(a, "word_id"), (a, "context"), (a, "ngram")]
+            + [(a.cnn, f) for f in CnnParams.FIELDS]]
+
+
+def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
+    def write_section(payload: bytes) -> None:
+        fh.write(struct.pack("<Q", len(payload)) + payload)
+
+    def text(lines: list[str]) -> bytes:
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    nd = ckpt.ngram_dict
+    vocab = [f"total_tokens={ckpt.vocab.total_tokens}"]
+    vocab += [f"{w}\t{int(c)}" for w, c in zip(ckpt.vocab.words, ckpt.vocab.counts)]
+    ngrams = [f"n_min={nd.n_min} n_max={nd.n_max}", f"ngrams={len(nd)}"]
+    ngrams += [",".join(map(str, ng)) for ng in nd.ngrams]
+    ngrams.append(f"chars={len(nd.per_char)}")
+    ngrams += [f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)]
+    ngrams.append(f"skipped={len(nd.skipped)}")
+    ngrams += sorted(nd.skipped)
+
+    fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
+    write_section(ckpt.config.to_lines().encode("utf-8"))
+    write_section(text(vocab))
+    write_section(text(ngrams))
+    write_section(dump_glyph_records(ckpt.glyphs))
+    for section in _float_sections(ckpt):
+        arrays = [getattr(owner, attr) for owner, attr in section]
+        fh.write(struct.pack("<Q", 4 * sum(x.size for x in arrays)))
+        for x in arrays:
+            fh.write(np.ascontiguousarray(x, "<f4"))
+    write_section(text([f"epoch={ckpt.epoch}", f"step={ckpt.step}"]))
 
 
 def dump_checkpoint(ckpt: Checkpoint) -> bytes:
-    cfg = ckpt.config
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<H", CHECKPOINT_VERSION)
-
-    out += _section(cfg.to_lines().encode("utf-8"))
-
-    vocab_lines = [f"total_tokens={ckpt.vocab.total_tokens}"]
-    vocab_lines += [f"{w}\t{int(c)}" for w, c in zip(ckpt.vocab.words, ckpt.vocab.counts)]
-    out += _section(("\n".join(vocab_lines) + "\n").encode("utf-8"))
-
-    nd = ckpt.ngram_dict
-    dict_lines = [f"n_min={nd.n_min} n_max={nd.n_max}", f"ngrams={len(nd)}"]
-    dict_lines += [",".join(map(str, ng)) for ng in nd.ngrams]
-    dict_lines.append(f"chars={len(nd.per_char)}")
-    dict_lines += [f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)]
-    dict_lines.append(f"skipped={len(nd.skipped)}")
-    dict_lines += sorted(nd.skipped)
-    out += _section(("\n".join(dict_lines) + "\n").encode("utf-8"))
-
-    gl = bytearray()
-    gl += struct.pack("<I", len(ckpt.glyphs))
-    for ch in sorted(ckpt.glyphs):
-        gl += struct.pack("<I", ord(ch))
-        gl += pack_bitmap(ckpt.glyphs[ch])
-    out += _section(bytes(gl))
-
-    t = ckpt.tables
-    tbl = b"".join(x.astype("<f4").tobytes() for x in
-                   (t.word_id_vecs, t.context_vecs, t.ngram_vecs))
-    out += _section(tbl)
-    out += _section(b"".join(x.astype("<f4").tobytes() for _, x in ckpt.cnn.tensors()))
-    acc = ckpt.accum
-    acc_blob = b"".join(x.astype("<f4").tobytes() for x in (acc.word_id, acc.context, acc.ngram))
-    acc_blob += b"".join(x.astype("<f4").tobytes() for _, x in acc.cnn.tensors())
-    out += _section(acc_blob)
-
-    out += _section(f"epoch={ckpt.epoch}\nstep={ckpt.step}\n".encode("utf-8"))
-    return bytes(out)
+    buf = io.BytesIO()
+    _write_checkpoint(ckpt, buf)
+    return buf.getvalue()
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(dump_checkpoint(ckpt))
-
-
-def _read_sections(data: bytes, n: int, name: str) -> list[bytes]:
-    off = len(CHECKPOINT_MAGIC) + 2
-    sections = []
-    for _ in range(n):
-        if off + 8 > len(data):
-            raise CheckpointError(f"{name}: truncated section table")
-        (size,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        if off + size > len(data):
-            raise CheckpointError(f"{name}: truncated section payload")
-        sections.append(data[off:off + size])
-        off += size
-    if off != len(data):
-        raise CheckpointError(f"{name}: trailing bytes")
-    return sections
+    """Write `ckpt` to a temporary file beside `path`, fsync it and rename
+    it onto `path`. On failure the temporary file is removed and an earlier
+    file at `path` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(ckpt, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        data = fh.read()
     name = str(path)
-    if len(data) < 6 or data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{name}: bad magic")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{name}: unsupported version {version}")
-    (cfg_b, vocab_b, dict_b, glyph_b, tbl_b, cnn_b, acc_b, counters_b) = \
-        _read_sections(data, 8, name)
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        head = fh.read(6)
+        if len(head) < 6 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{name}: bad magic")
+        (version,) = struct.unpack_from("<H", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{name}: unsupported version {version}")
 
-    config = TrainingConfig.from_lines(cfg_b.decode("utf-8"))
-    dtype = config.np_dtype
+        def section_size() -> int:
+            raw = fh.read(8)
+            if len(raw) < 8:
+                raise CheckpointError(f"{name}: truncated section table")
+            (size,) = struct.unpack("<Q", raw)
+            if size > end - fh.tell():
+                raise CheckpointError(f"{name}: truncated section payload")
+            return size
 
-    vlines = vocab_b.decode("utf-8").splitlines()
-    total_tokens = int(vlines[0].partition("=")[2])
+        def text() -> str:
+            return fh.read(section_size()).decode("utf-8")
+
+        config = TrainingConfig.from_lines(text())
+        vocab = _parse_vocab(text().splitlines())
+        ngram_dict = _parse_ngram_dict(text().splitlines())
+        try:
+            glyphs = parse_glyph_records(fh.read(section_size()), f"{name}: glyph section")
+        except GlyphPackError as exc:
+            raise CheckpointError(str(exc)) from exc
+
+        # Shape-only stand-ins, replaced by the arrays read below.
+        d, dtype = config.dim, config.np_dtype
+        rows = [np.broadcast_to(np.float32(0), (n, d))
+                for n in (len(vocab), len(vocab), len(ngram_dict))]
+        cnn = cnn_init(0, d)
+        ckpt = Checkpoint(config, vocab, ngram_dict, glyphs, EmbeddingTables(*rows), cnn,
+                          Accumulators(*rows, cnn.zeros_like()))
+        for section in _float_sections(ckpt):
+            size = section_size()
+            want = 4 * sum(getattr(owner, attr).size for owner, attr in section)
+            if size != want:
+                raise CheckpointError(f"{name}: float section of {size} bytes, "
+                                      f"its shapes need {want}")
+            for owner, attr in section:
+                arr = np.empty(getattr(owner, attr).shape, "<f4")
+                if fh.readinto(arr) != arr.nbytes:
+                    raise CheckpointError(f"{name}: truncated section payload")
+                setattr(owner, attr, arr.astype(dtype, copy=False))
+
+        counters = dict(line.split("=") for line in text().splitlines())
+        if fh.tell() != end:
+            raise CheckpointError(f"{name}: trailing bytes")
+    ckpt.epoch, ckpt.step = int(counters["epoch"]), int(counters["step"])
+    return ckpt
+
+
+def _parse_vocab(lines: list[str]) -> Vocab:
     words, counts = [], []
-    for line in vlines[1:]:
+    for line in lines[1:]:
         w, _, c = line.partition("\t")
         words.append(w)
         counts.append(int(c))
-    vocab = Vocab(words, np.array(counts, dtype=np.int64), total_tokens)
+    return Vocab(words, np.array(counts, dtype=np.int64), int(lines[0].partition("=")[2]))
 
-    dlines = dict_b.decode("utf-8").splitlines()
-    head = dict(part.split("=") for part in dlines[0].split())
-    n_ngrams = int(dlines[1].partition("=")[2])
-    pos = 2
-    ngram_ids = {}
-    for i in range(n_ngrams):
-        ng = tuple(int(s) for s in dlines[pos + i].split(","))
-        ngram_ids[ng] = i
-    pos += n_ngrams
-    n_chars = int(dlines[pos].partition("=")[2])
-    pos += 1
+
+def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
+    head = dict(part.split("=") for part in lines[0].split())
+    n_ngrams = int(lines[1].partition("=")[2])
+    ngram_ids = {tuple(int(s) for s in lines[2 + i].split(",")): i for i in range(n_ngrams)}
+    pos = 2 + n_ngrams
+    n_chars = int(lines[pos].partition("=")[2])
     per_char = {}
-    for i in range(n_chars):
-        ch, _, ids = dlines[pos + i].partition("\t")
+    for line in lines[pos + 1:pos + 1 + n_chars]:
+        ch, _, ids = line.partition("\t")
         per_char[ch] = [int(s) for s in ids.split(",")] if ids else []
-    pos += n_chars
-    n_skip = int(dlines[pos].partition("=")[2])
-    skipped = dlines[pos + 1:pos + 1 + n_skip]
-    ngram_dict = StrokeNgramDict(ngram_ids, per_char, int(head["n_min"]),
-                                 int(head["n_max"]), skipped)
-
-    if len(glyph_b) < 4 or \
-            len(glyph_b) != 4 + struct.unpack_from("<I", glyph_b)[0] * (4 + GLYPH_BYTES):
-        raise CheckpointError(f"{name}: glyph section size does not match its record count")
-    (g_count,) = struct.unpack_from("<I", glyph_b)
-    glyphs = {}
-    off = 4
-    for _ in range(g_count):
-        (cp,) = struct.unpack_from("<I", glyph_b, off)
-        glyphs[chr(cp)] = unpack_bitmap(glyph_b[off + 4:off + 4 + GLYPH_BYTES])
-        off += 4 + GLYPH_BYTES
-
-    V, d, G = len(vocab), config.dim, n_ngrams
-
-    def take(blob, off, shape):
-        n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
-        return arr.astype(dtype), off + n * 4
-
-    off = 0
-    w_id, off = take(tbl_b, off, (V, d))
-    ctx, off = take(tbl_b, off, (V, d))
-    ngr, off = take(tbl_b, off, (G, d))
-    if G == 0:
-        ngr = np.zeros((0, d), dtype=dtype)
-    tables = EmbeddingTables(w_id, ctx, ngr)
-
-    template = cnn_init(0, d, dtype)
-    off = 0
-    cnn_tensors = []
-    for _, ref in template.tensors():
-        t, off = take(cnn_b, off, ref.shape)
-        cnn_tensors.append(t)
-    cnn = CnnParams(*cnn_tensors)
-
-    off = 0
-    a_wid, off = take(acc_b, off, (V, d))
-    a_ctx, off = take(acc_b, off, (V, d))
-    a_ngr, off = take(acc_b, off, (G, d))
-    if G == 0:
-        a_ngr = np.zeros((0, d), dtype=dtype)
-    acc_tensors = []
-    for _, ref in template.tensors():
-        t, off = take(acc_b, off, ref.shape)
-        acc_tensors.append(t)
-    accum = Accumulators(a_wid, a_ctx, a_ngr, CnnParams(*acc_tensors))
-
-    counters = dict(line.split("=") for line in counters_b.decode("utf-8").splitlines())
-    return Checkpoint(config, vocab, ngram_dict, glyphs, tables, cnn, accum,
-                      epoch=int(counters["epoch"]), step=int(counters["step"]))
+    pos += 1 + n_chars
+    n_skip = int(lines[pos].partition("=")[2])
+    return StrokeNgramDict(ngram_ids, per_char, int(head["n_min"]), int(head["n_max"]),
+                           lines[pos + 1:pos + 1 + n_skip])
 
 
 def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:

@@ -1,9 +1,19 @@
+import hashlib
+import os
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dwe.cli import run
+from dwe.corpus import Vocab
 from dwe.evaluation import Evaluator
-from dwe.trainer import (Checkpoint, CheckpointError, ConfigMismatchError,
-                         TrainingConfig, dump_checkpoint, export_vectors,
+from dwe.glyph_cnn import CnnParams, cnn_init
+from dwe.model import EmbeddingTables
+from dwe.morphology import StrokeNgramDict
+from dwe.trainer import (Accumulators, Checkpoint, CheckpointError, ConfigMismatchError,
+                         TrainingConfig, dump_checkpoint, export_vectors, init_checkpoint,
                          load_checkpoint, load_vectors, save_checkpoint, train)
 
 
@@ -12,6 +22,50 @@ def small_config(**kw):
                 window=3, seed=5)
     base.update(kw)
     return TrainingConfig(**base)
+
+
+def handmade_checkpoint(dtype):
+    """A checkpoint built without randomness: arange-filled arrays, two
+    glyphs, a character with no n-grams and two skipped characters."""
+    cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3, dtype=dtype)
+    vocab = Vocab(["中国", "人", "日本"], np.array([7, 4, 2]), 13)
+    ngram_dict = StrokeNgramDict({(0, 2, 5): 0, (2, 5, 33): 1, (0, 2, 5, 33): 2},
+                                 {"中": [0, 1, 2], "国": [2], "人": []}, 3, 4, ["日", "本"])
+    glyphs = {ch: (np.arange(784).reshape(28, 28) % k == 0).astype(np.uint8)
+              for ch, k in (("中", 3), ("国", 5))}
+    start = [0]
+
+    def filled(shape):
+        n = int(np.prod(shape))
+        arr = (np.arange(start[0], start[0] + n) / 8).reshape(shape).astype(dtype)
+        start[0] += n
+        return arr
+
+    def cnn():
+        return CnnParams(*(filled(t.shape) for _, t in cnn_init(0, cfg.dim).tensors()))
+
+    V, G, d = len(vocab), len(ngram_dict), cfg.dim
+    tables = EmbeddingTables(filled((V, d)), filled((V, d)), filled((G, d)))
+    params = cnn()
+    accum = Accumulators(filled((V, d)), filled((V, d)), filled((G, d)), cnn())
+    return Checkpoint(cfg, vocab, ngram_dict, glyphs, tables, params, accum,
+                      epoch=2, step=17)
+
+
+def split_sections(blob):
+    """The eight section payloads of a checkpoint."""
+    off, payloads = 6, []
+    while off < len(blob):
+        size = int.from_bytes(blob[off:off + 8], "little")
+        payloads.append(blob[off + 8:off + 8 + size])
+        off += 8 + size
+    return payloads
+
+
+def join_sections(blob, payloads):
+    """`blob`'s magic and version followed by `payloads`, each with its
+    length prefix."""
+    return blob[:6] + b"".join(len(p).to_bytes(8, "little") + p for p in payloads)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +192,6 @@ class TestCheckpointIO:
             load_checkpoint(p)
 
     def test_inflated_glyph_count(self, trained, tmp_path):
-        from dwe.cli import run
         blob = bytearray(dump_checkpoint(trained))
         off = 6  # magic and version; config, vocab and n-gram sections follow
         for _ in range(3):
@@ -150,6 +203,80 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="glyph section"):
             load_checkpoint(p)
         assert run(["nn", "--model", str(p), "--word", trained.vocab.words[0]]) == 2
+
+
+    # The v1 byte layout, pinned as the SHA-256 of each handmade checkpoint.
+    @pytest.mark.parametrize("dtype, digest", [
+        ("float32", "f3ddfbc1a8d691488d914f180b25cd73e5d03d41dd440b3f2b5ab7ed1c39bc35"),
+        ("float64", "12d879c97fb3267d0dea3090a8ebda240cbfde6a6952804edb1d01d9355a36ca"),
+    ])
+    def test_format_pinned(self, dtype, digest, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint(dtype))
+        assert hashlib.sha256(blob).hexdigest() == digest
+        p = tmp_path / "m.dwe"
+        p.write_bytes(blob)
+        back = load_checkpoint(p)
+        assert back.tables.ngram_vecs.dtype == np.dtype(dtype)
+        assert dump_checkpoint(back) == blob
+
+    @pytest.mark.parametrize("delta", [4, -4])
+    @pytest.mark.parametrize("section", [4, 5, 6])  # tables, CNN, accumulators
+    def test_float_section_size_checked(self, trained, tmp_path, section, delta):
+        blob = dump_checkpoint(trained)
+        payloads = split_sections(blob)
+        payloads[section] = (payloads[section] + bytes(delta) if delta > 0
+                             else payloads[section][:delta])
+        p = tmp_path / "s.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="float section"):
+            load_checkpoint(p)
+        if (section, delta) == (4, 4):
+            assert run(["nn", "--model", str(p), "--word", trained.vocab.words[0]]) == 2
+
+    def test_duplicate_glyph_rejected(self, trained, tmp_path):
+        blob = dump_checkpoint(trained)
+        payloads = split_sections(blob)
+        count = int.from_bytes(payloads[3][:4], "little")
+        first = payloads[3][4:4 + 4 + 98]
+        payloads[3] = (count + 1).to_bytes(4, "little") + payloads[3][4:] + first
+        p = tmp_path / "d.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="glyph section.*duplicate"):
+            load_checkpoint(p)
+
+    def test_failed_save_leaves_old_file(self, trained, tmp_path):
+        p = tmp_path / "m.dwe"
+        save_checkpoint(trained, p)
+        old = p.read_bytes()
+        # A CNN tensor that cannot be written as floats fails the save after
+        # the tables section has been written.
+        bad_cnn = replace(trained.cnn, fc1_b=np.array(["x"] * 120))
+        with pytest.raises(ValueError):
+            save_checkpoint(replace(trained, cnn=bad_cnn), p)
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.dwe"]
+
+    def test_save_and_load_memory(self, tmp_path):
+        V, G = 1500, 3000
+        vocab = Vocab([f"w{i}" for i in range(V)], np.ones(V), V)
+        ngram_dict = StrokeNgramDict({(i,): i for i in range(G)}, {}, 1, 1)
+        ckpt = init_checkpoint(vocab, ngram_dict, {}, TrainingConfig(dim=300))
+        p = tmp_path / "m.dwe"
+        tracemalloc.start()
+        try:
+            save_checkpoint(ckpt, p)
+            save_extra = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            back = load_checkpoint(p)
+            load_extra = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(p)
+        assert 14e6 < size < 16e6
+        assert save_extra <= 0.5 * size
+        assert load_extra <= 1.5 * size
+        assert back.step == ckpt.step
 
 
 class TestExport:
