@@ -59,18 +59,18 @@ def read_sentences(path) -> Iterator[list[str]]:
                 yield toks
 
 
-def context_pairs(sentence: list[int], window: int) -> Iterator[tuple[int, int]]:
-    """(center, context) pairs for every position, clipped at sentence
-    boundaries; deterministic left-to-right order."""
+def context_pairs(sentence: list[int] | np.ndarray, window: int) -> np.ndarray:
+    """(P, 2) int64 array of (center, context) pairs for every position,
+    clipped at sentence boundaries; deterministic left-to-right order."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    n = len(sentence)
-    for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n - 1, i + window)
-        for j in range(lo, hi + 1):
-            if j != i:
-                yield sentence[i], sentence[j]
+    sentence = np.asarray(sentence, dtype=np.int64)
+    offsets = np.arange(-window, window)
+    offsets[window:] += 1  # -window..-1, 1..window
+    contexts = np.arange(len(sentence))[:, None] + offsets
+    keep = (contexts >= 0) & (contexts < len(sentence))
+    centers = np.broadcast_to(sentence[:, None], contexts.shape)[keep]
+    return np.stack([centers, sentence[contexts[keep]]], axis=1)
 
 
 class NegativeSampler:

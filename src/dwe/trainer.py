@@ -3,18 +3,19 @@
 A batch is `batch_size` (center, context) pairs; gradients are
 accumulated over the batch and applied once (mini-batch adagrad).
 Negatives for a pair are keyed to the pair's corpus position and the
-run seed, so epochs differ only in sentence order and per-epoch mean
-losses are comparable. Deterministic mode runs single-threaded with a
-fixed seed and is bit-reproducible; hogwild mode shards batches across
-threads with unsynchronized embedding-row updates while CNN gradients
-are applied by a single reducer.
+run seed, and every epoch visits the sentences in the same order, so
+per-epoch mean losses are comparable. One epoch loop serves both modes:
+workers take batches from one stream under a lock and apply their own
+updates. Deterministic mode has one worker, the calling thread, and is
+bit-reproducible for a fixed seed. Hogwild mode has `threads` workers;
+they update embedding rows without a lock and update the CNN under the
+lock, replacing each tensor whole.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import os
-import queue
 import struct
 import sys
 import threading
@@ -88,18 +89,16 @@ class TrainingConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
-    def to_lines(self) -> str:
-        out = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            out.append(f"{f.name}={getattr(self, f.name)}")
-        return "\n".join(out) + "\n"
+    def to_lines(self) -> list[str]:
+        return [f"{f.name}={getattr(self, f.name)}"
+                for f in sorted(fields(self), key=lambda f: f.name)]
 
     @classmethod
-    def from_lines(cls, text: str) -> "TrainingConfig":
+    def from_lines(cls, lines: list[str]) -> "TrainingConfig":
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
         defaults = cls()
-        for line in text.splitlines():
+        for line in lines:
             if not line.strip():
                 continue
             key, _, val = line.partition("=")
@@ -107,14 +106,16 @@ class TrainingConfig:
                 raise CheckpointError(f"unknown config key {key!r}")
             cur = getattr(defaults, key)
             if isinstance(cur, bool):
-                kwargs[key] = val == "True"
+                kwargs[key] = {"True": True, "False": False}[val]
             elif isinstance(cur, int):
                 kwargs[key] = int(val)
             elif isinstance(cur, float):
                 kwargs[key] = float(val)
             else:
                 kwargs[key] = val
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        config.validate()
+        return config
 
 
 @dataclass
@@ -170,19 +171,24 @@ def init_checkpoint(vocab: Vocab, ngram_dict: StrokeNgramDict,
 
 
 def apply_grads(ckpt: Checkpoint, grads, lr: float, eps: float,
-                update_embeddings: bool = True, update_cnn: bool = True) -> None:
+                lock=contextlib.nullcontext()) -> None:
+    """Adagrad on the touched embedding rows, in place and without a lock
+    (the hogwild contract), then on the CNN under `lock`. Each CNN tensor
+    is updated in a copy that replaces it whole, so a concurrent forward
+    pass reads either the old tensor or the new one."""
     t, a = ckpt.tables, ckpt.accum
-    if update_embeddings:
-        adagrad_step_rows(t.word_id_vecs, a.word_id, grads.word_id_ids,
-                          grads.word_id_rows, lr, eps)
-        adagrad_step_rows(t.context_vecs, a.context, grads.context_ids,
-                          grads.context_rows, lr, eps)
-        adagrad_step_rows(t.ngram_vecs, a.ngram, grads.ngram_ids,
-                          grads.ngram_rows, lr, eps)
-    if update_cnn and grads.cnn is not None:
-        for (_, p), (_, g), (_, acc) in zip(ckpt.cnn.tensors(), grads.cnn.tensors(),
-                                            a.cnn.tensors()):
-            adagrad_step(p, g, acc, lr, eps)
+    adagrad_step_rows(t.word_id_vecs, a.word_id, grads.word_id_ids,
+                      grads.word_id_rows, lr, eps)
+    adagrad_step_rows(t.context_vecs, a.context, grads.context_ids,
+                      grads.context_rows, lr, eps)
+    adagrad_step_rows(t.ngram_vecs, a.ngram, grads.ngram_ids, grads.ngram_rows, lr, eps)
+    if grads.cnn is not None:
+        with lock:
+            for (name, p), (_, g), (_, acc) in zip(ckpt.cnn.tensors(), grads.cnn.tensors(),
+                                                   a.cnn.tensors()):
+                p = p.copy()
+                adagrad_step(p, g, acc, lr, eps)
+                setattr(ckpt.cnn, name, p)
 
 
 def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
@@ -199,105 +205,76 @@ def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
     if config.subsample > 0:
         freq = vocab.counts / vocab.counts.sum()
         keep_prob = np.minimum(1.0, np.sqrt(config.subsample / freq))
-    buf_c: list[np.ndarray] = []
-    buf_x: list[np.ndarray] = []
-    buf_n: list[np.ndarray] = []
+    size = config.batch_size
+    # (center, context, negatives...) rows not yet yielded
+    pending: list[np.ndarray] = []
     buffered = 0
     for si in order:
         sent = sentences[si]
         if keep_prob is not None:
             sent = sent[rng.random(len(sent)) < keep_prob[sent]]
-        pairs = list(context_pairs(list(sent), config.window))
-        if not pairs:
+        pairs = context_pairs(sent, config.window)
+        if not len(pairs):
             continue
-        centers = np.array([c for c, _ in pairs], dtype=np.int64)
-        contexts = np.array([x for _, x in pairs], dtype=np.int64)
         sampler.reseed((config.seed, int(si)))
-        negatives = sampler.draw_batch(config.negatives, centers)
-        buf_c.append(centers)
-        buf_x.append(contexts)
-        buf_n.append(negatives)
-        buffered += len(centers)
-        while buffered >= config.batch_size:
-            centers = np.concatenate(buf_c)
-            contexts = np.concatenate(buf_x)
-            negatives = np.concatenate(buf_n)
-            yield (centers[:config.batch_size], contexts[:config.batch_size],
-                   negatives[:config.batch_size])
-            buf_c = [centers[config.batch_size:]]
-            buf_x = [contexts[config.batch_size:]]
-            buf_n = [negatives[config.batch_size:]]
-            buffered -= config.batch_size
+        pending.append(np.hstack([pairs, sampler.draw_batch(config.negatives, pairs[:, 0])]))
+        buffered += len(pairs)
+        while buffered >= size:
+            rows = np.concatenate(pending)
+            yield rows[:size, 0], rows[:size, 1], rows[:size, 2:]
+            pending = [rows[size:]]
+            buffered -= size
     if buffered:
-        yield np.concatenate(buf_c), np.concatenate(buf_x), np.concatenate(buf_n)
+        rows = np.concatenate(pending)
+        yield rows[:, 0], rows[:, 1], rows[:, 2:]
 
 
-def _train_epoch_deterministic(ckpt: Checkpoint, model: DweModel,
-                               sentences: list[np.ndarray], sampler: NegativeSampler,
-                               rng: np.random.Generator) -> tuple[float, int]:
+def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
+                 sampler: NegativeSampler, rng: np.random.Generator) -> tuple[float, int]:
+    """One epoch; returns the summed loss and the number of pairs.
+
+    Each worker takes the next batch of the one `_epoch_batches` stream
+    under `lock` and applies its own gradients. The calling thread is the
+    only worker in deterministic mode and one of `threads` in hogwild
+    mode. The first exception in any worker stops the others and is
+    raised here.
+    """
     cfg = ckpt.config
-    total_loss, total_pairs = 0.0, 0
-    for centers, contexts, negatives in _epoch_batches(sentences, cfg, rng,
-                                                       ckpt.vocab, sampler):
-        loss, grads = model.batch_loss_and_grads(centers, contexts, negatives)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite loss at epoch={ckpt.epoch} step={ckpt.step}")
-        apply_grads(ckpt, grads, cfg.lr, cfg.eps)
-        total_loss += loss
-        total_pairs += len(centers)
-        ckpt.step += 1
-    return total_loss, total_pairs
-
-
-def _train_epoch_hogwild(ckpt: Checkpoint, model: DweModel,
-                         sentences: list[np.ndarray], sampler: NegativeSampler,
-                         rng: np.random.Generator) -> tuple[float, int]:
-    cfg = ckpt.config
-    batches = list(_epoch_batches(sentences, cfg, rng, ckpt.vocab, sampler))
-    shards = [batches[i::cfg.threads] for i in range(cfg.threads)]
-    cnn_queue: queue.Queue = queue.Queue()
-    stats_lock = threading.Lock()
-    totals = {"loss": 0.0, "pairs": 0}
+    batches = _epoch_batches(sentences, cfg, rng, ckpt.vocab, sampler)
+    lock = threading.Lock()
+    totals = [0.0, 0]
     errors: list[BaseException] = []
 
-    def reducer():
-        while True:
-            item = cnn_queue.get()
-            if item is None:
-                return
-            apply_grads(ckpt, item, cfg.lr, cfg.eps,
-                        update_embeddings=False, update_cnn=True)
-
-    def worker(wid: int):
+    def work() -> None:
         try:
-            for centers, contexts, negatives in shards[wid]:
-                loss, grads = model.batch_loss_and_grads(centers, contexts, negatives)
+            while True:
+                with lock:
+                    batch = None if errors else next(batches, None)
+                if batch is None:
+                    return
+                loss, grads = model.batch_loss_and_grads(*batch)
                 if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"non-finite loss in worker {wid}")
-                # unsynchronized sparse embedding updates (hogwild contract)
-                apply_grads(ckpt, grads, cfg.lr, cfg.eps, update_cnn=False)
-                if grads.cnn is not None:
-                    cnn_queue.put(grads)
-                with stats_lock:
-                    totals["loss"] += loss
-                    totals["pairs"] += len(centers)
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch={ckpt.epoch} step={ckpt.step}")
+                apply_grads(ckpt, grads, cfg.lr, cfg.eps, lock)
+                with lock:
+                    totals[0] += loss
+                    totals[1] += len(batch[0])
                     ckpt.step += 1
-        except BaseException as exc:  # propagate to the main thread
-            errors.append(exc)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
 
-    red = threading.Thread(target=reducer)
-    red.start()
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(cfg.threads)]
-    for t in threads:
+    helpers = [threading.Thread(target=work)
+               for _ in range(cfg.threads - 1 if cfg.mode == "hogwild" else 0)]
+    for t in helpers:
         t.start()
-    for t in threads:
+    work()
+    for t in helpers:
         t.join()
-    cnn_queue.put(None)
-    red.join()
     if errors:
         raise errors[0]
-    return totals["loss"], totals["pairs"]
+    return totals[0], totals[1]
 
 
 def train(corpus_path, stroke_table_path, glyph_pack_path,
@@ -344,10 +321,7 @@ def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoin
         # and scores the same (pair, negatives) schedule, so per-epoch mean
         # losses differ only through parameter improvement.
         rng = np.random.default_rng(cfg.seed)
-        if cfg.mode == "hogwild" and cfg.threads > 1:
-            loss, pairs = _train_epoch_hogwild(ckpt, model, sentences, sampler, rng)
-        else:
-            loss, pairs = _train_epoch_deterministic(ckpt, model, sentences, sampler, rng)
+        loss, pairs = _train_epoch(ckpt, model, sentences, sampler, rng)
         ckpt.epoch += 1
         mean = loss / pairs if pairs else float("nan")
         ckpt.epoch_mean_losses.append(mean)
@@ -393,7 +367,7 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
     ngrams += sorted(nd.skipped)
 
     fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
-    write_section(ckpt.config.to_lines().encode("utf-8"))
+    write_section(text(ckpt.config.to_lines()))
     write_section(text(vocab))
     write_section(text(ngrams))
     write_section(dump_glyph_records(ckpt.glyphs))
@@ -448,12 +422,17 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{name}: truncated section payload")
             return size
 
-        def text() -> str:
-            return fh.read(section_size()).decode("utf-8")
+        def text(what: str, parse):
+            size = section_size()
+            try:
+                return parse(fh.read(size).decode("utf-8").splitlines())
+            except (ValueError, IndexError, KeyError) as exc:
+                raise CheckpointError(f"{name}: bad {what} section: "
+                                      f"{type(exc).__name__}: {exc}") from exc
 
-        config = TrainingConfig.from_lines(text())
-        vocab = _parse_vocab(text().splitlines())
-        ngram_dict = _parse_ngram_dict(text().splitlines())
+        config = text("config", TrainingConfig.from_lines)
+        vocab = text("vocab", _parse_vocab)
+        ngram_dict = text("n-gram dictionary", _parse_ngram_dict)
         try:
             glyphs = parse_glyph_records(fh.read(section_size()), f"{name}: glyph section")
         except GlyphPackError as exc:
@@ -478,10 +457,9 @@ def load_checkpoint(path) -> Checkpoint:
                     raise CheckpointError(f"{name}: truncated section payload")
                 setattr(owner, attr, arr.astype(dtype, copy=False))
 
-        counters = dict(line.split("=") for line in text().splitlines())
+        ckpt.epoch, ckpt.step = text("counters", _parse_counters)
         if fh.tell() != end:
             raise CheckpointError(f"{name}: trailing bytes")
-    ckpt.epoch, ckpt.step = int(counters["epoch"]), int(counters["step"])
     return ckpt
 
 
@@ -508,6 +486,11 @@ def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
     n_skip = int(lines[pos].partition("=")[2])
     return StrokeNgramDict(ngram_ids, per_char, int(head["n_min"]), int(head["n_max"]),
                            lines[pos + 1:pos + 1 + n_skip])
+
+
+def _parse_counters(lines: list[str]) -> tuple[int, int]:
+    counters = dict(line.split("=") for line in lines)
+    return int(counters["epoch"]), int(counters["step"])
 
 
 def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:

@@ -44,11 +44,13 @@ class TestContextPairs:
         assert list(context_pairs([7], window=5)) == []
 
     def test_two_tokens_symmetric(self):
-        assert list(context_pairs([1, 2], window=1)) == [(1, 2), (2, 1)]
+        pairs = context_pairs([1, 2], window=1)
+        assert pairs.dtype == np.int64 and pairs.shape == (2, 2)
+        assert pairs.tolist() == [[1, 2], [2, 1]]
 
     def test_three_tokens(self):
-        assert list(context_pairs([1, 2, 3], window=1)) == \
-            [(1, 2), (2, 1), (2, 3), (3, 2)]
+        assert context_pairs([1, 2, 3], window=1).tolist() == \
+            [[1, 2], [2, 1], [2, 3], [3, 2]]
 
     def test_empty_sentence(self):
         assert list(context_pairs([], window=3)) == []
@@ -56,7 +58,7 @@ class TestContextPairs:
     @given(st.integers(0, 8), st.integers(1, 3))
     def test_pair_count_law(self, length, window):
         sentence = list(range(length))
-        pairs = list(context_pairs(sentence, window))
+        pairs = [tuple(p) for p in context_pairs(sentence, window).tolist()]
         expected = sum(min(i + window, length - 1) - max(i - window, 0)
                        for i in range(length))
         assert len(pairs) == expected
@@ -65,7 +67,7 @@ class TestContextPairs:
                  for i in range(length)
                  for j in range(length)
                  if j != i and abs(i - j) <= window]
-        assert sorted(pairs) == sorted(brute)
+        assert pairs == brute  # same pairs, in the same left-to-right order
 
 
 class TestNegativeSampler:

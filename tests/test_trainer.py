@@ -1,5 +1,7 @@
 import hashlib
+import io
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -10,11 +12,12 @@ from dwe.cli import run
 from dwe.corpus import Vocab
 from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams, cnn_init
-from dwe.model import EmbeddingTables
+from dwe.model import EmbeddingTables, Grads
 from dwe.morphology import StrokeNgramDict
 from dwe.trainer import (Accumulators, Checkpoint, CheckpointError, ConfigMismatchError,
-                         TrainingConfig, dump_checkpoint, export_vectors, init_checkpoint,
-                         load_checkpoint, load_vectors, save_checkpoint, train)
+                         TrainingConfig, TrainingDivergedError, apply_grads, dump_checkpoint,
+                         export_vectors, init_checkpoint, load_checkpoint, load_vectors,
+                         save_checkpoint, train)
 
 
 def small_config(**kw):
@@ -50,6 +53,16 @@ def handmade_checkpoint(dtype):
     accum = Accumulators(filled((V, d)), filled((V, d)), filled((G, d)), cnn())
     return Checkpoint(cfg, vocab, ngram_dict, glyphs, tables, params, accum,
                       epoch=2, step=17)
+
+
+def train_logged(data, cfg, resume=None):
+    """`train` on `data`; returns the checkpoint and each epoch's pair count."""
+    log = io.StringIO()
+    ckpt = train(data.corpus_path, data.strokes_path, data.glyphs_path, cfg,
+                 resume=resume, log=log)
+    pairs = [int(dict(kv.split("=") for kv in line.split())["pairs"])
+             for line in log.getvalue().splitlines() if line.startswith("epoch=")]
+    return ckpt, pairs
 
 
 def split_sections(blob):
@@ -127,11 +140,78 @@ class TestTrain:
         assert (ck2.accum.ngram >= ck1.accum.ngram - 1e-7).all()
 
     def test_hogwild_runs(self, synth_data):
-        cfg = small_config(mode="hogwild", threads=3, epochs=1)
-        ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
-                     synth_data.glyphs_path, cfg, log=None)
+        # more workers than cores and a short switch interval: a lost update
+        # to the step or pair count would show
+        det, det_pairs = train_logged(synth_data, small_config(epochs=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ckpt, pairs = train_logged(synth_data,
+                                       small_config(mode="hogwild", threads=3, epochs=1))
+        finally:
+            sys.setswitchinterval(interval)
         assert np.isfinite(ckpt.tables.word_id_vecs).all()
-        assert ckpt.step > 0
+        assert ckpt.step == det.step > 0
+        assert pairs == det_pairs
+
+    def test_hogwild_epochs_match_deterministic(self, synth_data):
+        def epochs(**kw):
+            """(pairs, steps) of three epochs trained one call at a time,
+            and their mean losses."""
+            ckpt, counts = None, []
+            for _ in range(3):
+                before = ckpt.step if ckpt else 0
+                ckpt, (pairs,) = train_logged(synth_data, small_config(epochs=1, **kw), ckpt)
+                counts.append((pairs, ckpt.step - before))
+            return counts, ckpt.epoch_mean_losses
+
+        det, _ = epochs()
+        hog, losses = epochs(mode="hogwild", threads=2)
+        assert hog == det
+        assert losses[0] < losses[1] < losses[2]
+
+    @pytest.mark.parametrize("mode, threads", [("deterministic", 1), ("hogwild", 2)])
+    def test_divergence_raised(self, synth_data, mode, threads):
+        ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
+                     synth_data.glyphs_path, small_config(epochs=0), log=None)
+        ckpt.tables.context_vecs[:] = np.nan
+        with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch=0 step=0"):
+            train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
+                  small_config(epochs=1, mode=mode, threads=threads), resume=ckpt, log=None)
+
+    def test_subsample_one_keeps_every_pair(self, synth_data):
+        off, _ = train_logged(synth_data, small_config())
+        one, _ = train_logged(synth_data, small_config(subsample=1.0))
+        assert dump_checkpoint(replace(one, config=off.config)) == dump_checkpoint(off)
+
+    def test_subsample_drops_pairs_deterministically(self, synth_data):
+        with open(synth_data.corpus_path, encoding="utf-8") as fh:
+            lengths = [n for n in (len(line.split()) for line in fh) if n >= 2]
+        w = small_config().window
+        closed_form = sum(min(i + w, n - 1) - max(i - w, 0)
+                          for n in lengths for i in range(n))
+        _, full = train_logged(synth_data, small_config())
+        a, pairs = train_logged(synth_data, small_config(subsample=0.01))
+        b, _ = train_logged(synth_data, small_config(subsample=0.01))
+        assert full == [closed_form] * 2
+        assert all(0 < p < closed_form for p in pairs)
+        assert dump_checkpoint(a) == dump_checkpoint(b)
+
+    def test_apply_grads_replaces_cnn_tensors_whole(self):
+        ckpt = handmade_checkpoint("float64")
+        lr, eps, g = 0.1, 1e-8, 0.5
+        no_rows = (np.zeros(0, np.int64), np.zeros((0, ckpt.config.dim)))
+        grads = Grads(*no_rows, *no_rows, *no_rows,
+                      CnnParams(*(np.full_like(t, g) for _, t in ckpt.cnn.tensors())))
+        held = dict(ckpt.cnn.tensors())  # what a concurrent reader holds
+        values = {name: t.copy() for name, t in held.items()}
+        acc = {name: t + g * g for name, t in ckpt.accum.cnn.tensors()}
+        apply_grads(ckpt, grads, lr, eps)
+        for name, new in ckpt.cnn.tensors():
+            np.testing.assert_array_equal(held[name], values[name])
+            np.testing.assert_array_equal(getattr(ckpt.accum.cnn, name), acc[name])
+            np.testing.assert_allclose(new, values[name] + lr * g / (np.sqrt(acc[name]) + eps),
+                                       rtol=1e-12)
 
     def test_resume_config_mismatch(self, synth_data, trained, tmp_path):
         p = tmp_path / "m.dwe"
@@ -243,6 +323,24 @@ class TestCheckpointIO:
         p.write_bytes(join_sections(blob, payloads))
         with pytest.raises(CheckpointError, match="glyph section.*duplicate"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("section, edit", [
+        (1, lambda payload: b""),
+        (2, lambda payload: b""),
+        (0, lambda payload: payload.replace(b"dim=5", b"dim=five")),
+        (1, lambda payload: b"\xff" + payload),
+        (7, lambda payload: b"epoch=2\n"),
+    ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
+            "counters-without-step"])
+    def test_text_section_errors(self, section, edit, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint("float32"))
+        payloads = split_sections(blob)
+        payloads[section] = edit(payloads[section])
+        p = tmp_path / "x.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match=r"bad .* section"):
+            load_checkpoint(p)
+        assert run(["nn", "--model", str(p), "--word", "人"]) == 2
 
     def test_failed_save_leaves_old_file(self, trained, tmp_path):
         p = tmp_path / "m.dwe"
