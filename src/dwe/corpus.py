@@ -101,16 +101,7 @@ class NegativeSampler:
 
     def draw(self, k: int, exclude: int) -> np.ndarray:
         """k i.i.d. draws from P, resampling any draw equal to `exclude`."""
-        if k < 1:
-            raise ValueError(f"need k >= 1, got {k}")
-        if len(self.probs) < 2:
-            raise ValueError("cannot draw negatives from a single-word vocabulary")
-        ids = self._sample(k)
-        bad = ids == exclude
-        while bad.any():
-            ids[bad] = self._sample(int(bad.sum()))
-            bad = ids == exclude
-        return ids
+        return self.draw_batch(k, np.array([exclude]))[0]
 
     def draw_batch(self, k: int, excludes: np.ndarray) -> np.ndarray:
         """(len(excludes), k) draws, row i excluding excludes[i]."""

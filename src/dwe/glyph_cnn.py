@@ -1,9 +1,16 @@
 """LeNet-style glyph feature network with hand-written forward/backward.
 
-Layout for a 28x28 binary input: conv(5x5, 6) -> ReLU -> maxpool 2x2 ->
-conv(5x5, 16) -> ReLU -> maxpool 2x2 -> flatten(256) -> fc 120 -> ReLU ->
-fc 84 -> ReLU -> fc d. Convolutions are valid (no padding), stride 1;
-pooling is 2x2 stride 2 with first-position (row-major) tie-break.
+Layout for a 28x28 binary input: conv(5x5, 6) -> maxpool 2x2 -> ReLU ->
+conv(5x5, 16) -> maxpool 2x2 -> ReLU -> flatten(256) -> fc 120 -> ReLU ->
+fc 84 -> ReLU -> fc d. Convolutions are valid (no padding), stride 1, and
+unrolled into one GEMM each (im2col). Pooling is 2x2 stride 2 with the
+gradient going to the first (row-major) position that holds the max.
+ReLU comes after pooling: the two commute, and the pooled array is 4x
+smaller.
+
+Activations stay channels-last, (B, H, W, C), from the input to the
+flatten, which reads the last pooled map in (C, H, W) order; that order
+fixes the row order of fc1_w. Conv weights are (O, C, k, k).
 """
 from __future__ import annotations
 
@@ -71,95 +78,94 @@ def cnn_init(seed: int, d: int, dtype=np.float32) -> CnnParams:
     )
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    # x: (B, C, H, W) -> (B, Ho, Wo, C*k*k)
-    win = sliding_window_view(x, (k, k), axis=(2, 3))  # (B, C, Ho, Wo, k, k)
-    b, c, ho, wo = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, ho, wo, c * k * k)
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Valid stride-1 convolution of x (B, H, W, C); returns the output
+    (B, Ho, Wo, O) and the columns (B, Ho, Wo, C*k*k) it was computed from."""
     o, c, k, _ = w.shape
-    col = _im2col(x, k)
-    out = col @ w.reshape(o, -1).T + b        # (B, Ho, Wo, O)
-    return out.transpose(0, 3, 1, 2), col     # (B, O, Ho, Wo)
+    win = sliding_window_view(x, (k, k), axis=(1, 2))  # (B, Ho, Wo, C, k, k)
+    col = win.reshape(*win.shape[:3], c * k * k)
+    return col @ w.reshape(o, -1).T + b, col
 
 
-def _conv_backward(dout: np.ndarray, col: np.ndarray, w: np.ndarray, x_shape):
-    # dout: (B, O, Ho, Wo); col: (B, Ho, Wo, C*k*k)
-    o, c, k, _ = w.shape
-    d = dout.transpose(0, 2, 3, 1)            # (B, Ho, Wo, O)
+def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray):
+    """(dw, db) of _conv from its output gradient dout (B, Ho, Wo, O).
+    Float sums depend on memory order: both reductions run over an
+    NCHW-ordered copy of dout, the order that fixes the bits of trained
+    checkpoints."""
+    d = np.ascontiguousarray(dout.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
     dw = np.tensordot(d, col, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
-    db = d.sum(axis=(0, 1, 2))
-    dcol = d @ w.reshape(o, -1)               # (B, Ho, Wo, C*k*k)
+    return dw, d.sum(axis=(0, 1, 2))
+
+
+def _conv_input_grad(dout: np.ndarray, w: np.ndarray, x_shape) -> np.ndarray:
+    """Gradient of _conv w.r.t. its input x (x_shape): col2im as k*k
+    slice-adds."""
+    o, c, k, _ = w.shape
+    dcol = dout @ w.reshape(o, -1)                      # (B, Ho, Wo, C*k*k)
     b, ho, wo = dcol.shape[:3]
     dcol = dcol.reshape(b, ho, wo, c, k, k)
     dx = np.zeros(x_shape, dtype=dout.dtype)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i:i + ho, j:j + wo] += dcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return dx, dw, db
+            dx[:, i:i + ho, j:j + wo] += dcol[..., i, j]
+    return dx
 
 
-def _pool_forward(x: np.ndarray):
-    b, c, h, w = x.shape
-    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(b, c, h // 2, w // 2, 4)
-    # argmax over the row-major 2x2 window; np.argmax keeps the first max
-    argmax = win.argmax(axis=-1)
-    out = np.take_along_axis(win, argmax[..., None], axis=-1)[..., 0]
-    return out, argmax
+def _quadrants(a: np.ndarray) -> list[np.ndarray]:
+    """The four positions of every 2x2 window of a (B, H, W, C), as
+    strided views in row-major window order."""
+    return [a[:, r::2, c::2] for r in (0, 1) for c in (0, 1)]
 
 
-def _pool_backward(dout: np.ndarray, argmax: np.ndarray, x_shape):
-    b, c, h, w = x_shape
-    dwin = np.zeros((b, c, h // 2, w // 2, 4), dtype=dout.dtype)
-    np.put_along_axis(dwin, argmax[..., None], dout[..., None], axis=-1)
-    dwin = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return dwin.reshape(b, c, h, w)
+def _pool(a: np.ndarray) -> np.ndarray:
+    q = _quadrants(a)
+    return np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+
+
+def _unpool(dmax: np.ndarray, pre: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Route dmax to the first row-major position of each window of pre
+    that equals its max `pooled`; every other position gets zero."""
+    dpre = np.empty(pre.shape, dtype=dmax.dtype)
+    free = np.ones(pooled.shape, dtype=bool)
+    for src, dst in zip(_quadrants(pre), _quadrants(dpre)):
+        hit = free & (src == pooled)
+        np.multiply(dmax, hit, out=dst)
+        free &= ~hit
+    return dpre
 
 
 @dataclass
 class CnnTape:
-    """Cached activations and pooling argmaxes from one forward pass."""
-    x: np.ndarray
-    col1: np.ndarray
-    pre1: np.ndarray
-    argmax1: np.ndarray
-    pool1: np.ndarray
-    col2: np.ndarray
-    pre2: np.ndarray
-    argmax2: np.ndarray
-    flat: np.ndarray
-    pre_fc1: np.ndarray
-    pre_fc2: np.ndarray
-    hidden2: np.ndarray
-    dim: int
+    """Activations one forward pass leaves for the backward pass; maxN is
+    the pooled conv output before ReLU."""
+    col1: np.ndarray     # (B, 24, 24, 25)
+    pre1: np.ndarray     # (B, 24, 24, 6)
+    max1: np.ndarray     # (B, 12, 12, 6)
+    col2: np.ndarray     # (B, 8, 8, 150)
+    pre2: np.ndarray     # (B, 8, 8, 16)
+    max2: np.ndarray     # (B, 4, 4, 16)
+    flat: np.ndarray     # (B, 256)
+    pre_fc1: np.ndarray  # (B, 120)
+    pre_fc2: np.ndarray  # (B, 84)
 
 
-def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray, dtype=None):
-    """Feature vectors for a stack of bitmaps, shape (B, 28, 28)."""
+def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray):
+    """Feature vectors for a stack of bitmaps, shape (B, 28, 28), in the
+    dtype of params."""
     bitmaps = np.asarray(bitmaps)
     if bitmaps.ndim != 3 or bitmaps.shape[1:] != (INPUT_SIDE, INPUT_SIDE):
         raise ValueError(f"expected (B, {INPUT_SIDE}, {INPUT_SIDE}) bitmaps, got {bitmaps.shape}")
-    if dtype is None:
-        dtype = params.conv1_w.dtype
-    x = bitmaps.astype(dtype).reshape(-1, 1, INPUT_SIDE, INPUT_SIDE)
+    x = bitmaps.astype(params.conv1_w.dtype)[..., None]
 
-    pre1, col1 = _conv_forward(x, params.conv1_w, params.conv1_b)   # (B,6,24,24)
-    act1 = np.maximum(pre1, 0)
-    pool1, argmax1 = _pool_forward(act1)                            # (B,6,12,12)
-    pre2, col2 = _conv_forward(pool1, params.conv2_w, params.conv2_b)  # (B,16,8,8)
-    act2 = np.maximum(pre2, 0)
-    pool2, argmax2 = _pool_forward(act2)                            # (B,16,4,4)
-    flat = pool2.reshape(len(x), FLAT_SIZE)
+    pre1, col1 = _conv(x, params.conv1_w, params.conv1_b)
+    max1 = _pool(pre1)
+    pre2, col2 = _conv(np.maximum(max1, 0), params.conv2_w, params.conv2_b)
+    max2 = _pool(pre2)
+    flat = np.maximum(max2, 0).transpose(0, 3, 1, 2).reshape(len(x), FLAT_SIZE)
     pre_fc1 = flat @ params.fc1_w + params.fc1_b
-    h1 = np.maximum(pre_fc1, 0)
-    pre_fc2 = h1 @ params.fc2_w + params.fc2_b
-    h2 = np.maximum(pre_fc2, 0)
-    feature = h2 @ params.fc3_w + params.fc3_b
-    tape = CnnTape(x, col1, pre1, argmax1, pool1, col2, pre2, argmax2,
-                   flat, pre_fc1, pre_fc2, h2, params.dim)
+    pre_fc2 = np.maximum(pre_fc1, 0) @ params.fc2_w + params.fc2_b
+    feature = np.maximum(pre_fc2, 0) @ params.fc3_w + params.fc3_b
+    tape = CnnTape(col1, pre1, max1, col2, pre2, max2, flat, pre_fc1, pre_fc2)
     return feature, tape
 
 
@@ -172,12 +178,13 @@ def cnn_forward(params: CnnParams, bitmap: np.ndarray):
 def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray) -> CnnParams:
     """Gradient of sum_b grad_output[b] . feature[b] w.r.t. every parameter."""
     grad_output = np.asarray(grad_output, dtype=tape.flat.dtype)
-    if grad_output.shape != (len(tape.x), tape.dim):
+    if grad_output.shape != (len(tape.flat), params.dim):
         raise ValueError(f"grad_output shape {grad_output.shape} does not match "
-                         f"tape batch {(len(tape.x), tape.dim)}")
+                         f"tape batch {(len(tape.flat), params.dim)}")
     h1 = np.maximum(tape.pre_fc1, 0)
+    h2 = np.maximum(tape.pre_fc2, 0)
 
-    dfc3_w = tape.hidden2.T @ grad_output
+    dfc3_w = h2.T @ grad_output
     dfc3_b = grad_output.sum(axis=0)
     dh2 = (grad_output @ params.fc3_w.T) * (tape.pre_fc2 > 0)
     dfc2_w = h1.T @ dh2
@@ -187,13 +194,12 @@ def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray
     dfc1_b = dh1.sum(axis=0)
     dflat = dh1 @ params.fc1_w.T
 
-    dpool2 = dflat.reshape(-1, 16, 4, 4)
-    dact2 = _pool_backward(dpool2, tape.argmax2, tape.pre2.shape)
-    dpre2 = dact2 * (tape.pre2 > 0)
-    dpool1, dconv2_w, dconv2_b = _conv_backward(dpre2, tape.col2, params.conv2_w, tape.pool1.shape)
-    dact1 = _pool_backward(dpool1, tape.argmax1, tape.pre1.shape)
-    dpre1 = dact1 * (tape.pre1 > 0)
-    _, dconv1_w, dconv1_b = _conv_backward(dpre1, tape.col1, params.conv1_w, tape.x.shape)
+    dmax2 = dflat.reshape(-1, 16, 4, 4).transpose(0, 2, 3, 1) * (tape.max2 > 0)
+    dpre2 = _unpool(dmax2, tape.pre2, tape.max2)
+    dconv2_w, dconv2_b = _conv_grads(dpre2, tape.col2, params.conv2_w)
+    dmax1 = _conv_input_grad(dpre2, params.conv2_w, tape.max1.shape) * (tape.max1 > 0)
+    dpre1 = _unpool(dmax1, tape.pre1, tape.max1)
+    dconv1_w, dconv1_b = _conv_grads(dpre1, tape.col1, params.conv1_w)
 
     return CnnParams(dconv1_w, dconv1_b, dconv2_w, dconv2_b,
                      dfc1_w, dfc1_b, dfc2_w, dfc2_b, dfc3_w, dfc3_b)

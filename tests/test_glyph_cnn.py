@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwe.glyph_cnn import (CnnParams, cnn_backward, cnn_forward,
+from dwe.glyph_cnn import (CnnParams, _pool, _unpool, cnn_backward, cnn_forward,
                            cnn_forward_batch, cnn_init)
 from helpers import check_grad_tensor
 
@@ -20,13 +20,19 @@ class TestForward:
     def test_shape_trace(self):
         params = cnn_init(1, 5, np.float64)
         feat, tape = cnn_forward(params, random_bitmap(0))
-        assert tape.pre1.shape == (1, 6, 24, 24)
-        assert tape.pool1.shape == (1, 6, 12, 12)
-        assert tape.pre2.shape == (1, 16, 8, 8)
+        assert tape.col1.shape == (1, 24, 24, 25)
+        assert tape.pre1.shape == (1, 24, 24, 6)
+        assert tape.max1.shape == (1, 12, 12, 6)
+        assert tape.col2.shape == (1, 8, 8, 150)
+        assert tape.pre2.shape == (1, 8, 8, 16)
+        assert tape.max2.shape == (1, 4, 4, 16)
         assert tape.flat.shape == (1, 256)
         assert tape.pre_fc1.shape == (1, 120)
         assert tape.pre_fc2.shape == (1, 84)
         assert feat.shape == (5,)
+        # the flatten reads the channels-last map in (C, H, W) order
+        np.testing.assert_array_equal(tape.flat[0].reshape(16, 4, 4),
+                                      np.maximum(tape.max2[0], 0).transpose(2, 0, 1))
 
     def test_purity(self):
         params = cnn_init(2, 7, np.float64)
@@ -117,23 +123,43 @@ class TestBackward:
             assert worst < 1e-4, f"{name}: rel err {worst}"
 
 
+def relu_pool_grad(x):
+    """Input gradient of sum(ReLU(maxpool(x))) for NHWC x, and of
+    sum(maxpool(x)), as cnn_backward_batch routes them."""
+    pooled = _pool(x)
+    ones = np.ones_like(pooled)
+    return _unpool(ones * (pooled > 0), x, pooled), _unpool(ones, x, pooled)
+
+
+def windows(a):
+    # (1, H, W, C) -> (H/2 * W/2 * C, 4), rows in the order of _pool's output
+    _, h, w, c = a.shape
+    return a.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 4, 1, 3).reshape(-1, 4)
+
+
 def test_maxpool_gradient_sparsity():
-    # exactly one input position per 2x2 window receives gradient
-    params = cnn_init(0, 4, np.float64)
-    rng = np.random.default_rng(0)
-    bm = rng.integers(0, 2, (28, 28)).astype(np.uint8)
-    from dwe.glyph_cnn import _pool_backward, _pool_forward
-    x = rng.normal(0, 1, (1, 3, 8, 8))
-    out, argmax = _pool_forward(x)
-    dout = np.ones_like(out)
-    dx = _pool_backward(dout, argmax, x.shape)
-    windows = dx.reshape(1, 3, 4, 2, 4, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
-    assert ((windows != 0).sum(axis=1) == 1).all()
+    # exactly one input position per 2x2 window receives gradient; through
+    # the ReLU after pooling, a window with no positive entry receives none
+    x = np.random.default_rng(0).normal(0, 1, (1, 8, 8, 3))
+    x[0, 2:4, 4:6, 1] = -1.0 - np.abs(x[0, 2:4, 4:6, 1])
+    np.testing.assert_array_equal(_pool(x).reshape(-1), windows(x).max(axis=1))
+    with_relu, without_relu = relu_pool_grad(x)
+    assert ((windows(without_relu) != 0).sum(axis=1) == 1).all()
+    np.testing.assert_array_equal((windows(without_relu) != 0).argmax(axis=1),
+                                  windows(x).argmax(axis=1))
+    positive = windows(x).max(axis=1) > 0
+    assert (~positive).any()
+    np.testing.assert_array_equal(windows(with_relu)[positive], windows(without_relu)[positive])
+    assert (windows(with_relu)[~positive] == 0).all()
+    assert (with_relu[0, 2:4, 4:6, 1] == 0).all()
 
 
-def test_maxpool_tie_break_row_major_first():
-    from dwe.glyph_cnn import _pool_backward, _pool_forward
-    x = np.ones((1, 1, 2, 2))  # all tied
-    out, argmax = _pool_forward(x)
-    dx = _pool_backward(np.ones_like(out), argmax, x.shape)
-    assert dx[0, 0, 0, 0] == 1 and dx.sum() == 1
+@pytest.mark.parametrize("window, first", [
+    ([[2.0, 2.0], [2.0, 2.0]], (0, 0)),   # all four tied
+    ([[2.0, 3.0], [3.0, 1.0]], (0, 1)),   # (0, 1) = (1, 0)
+    ([[1.0, 2.0], [3.0, 3.0]], (1, 0)),   # (1, 0) = (1, 1)
+], ids=["all-four", "01-eq-10", "10-eq-11"])
+def test_maxpool_tie_break_row_major_first(window, first):
+    x = np.array(window).reshape(1, 2, 2, 1)
+    for dx in relu_pool_grad(x):
+        assert dx[0, first[0], first[1], 0] == 1 and dx.sum() == 1
