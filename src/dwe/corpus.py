@@ -76,10 +76,12 @@ def context_pairs(sentence: list[int] | np.ndarray, window: int) -> np.ndarray:
 class NegativeSampler:
     """Draws negative ids from P(id) proportional to count^alpha.
 
-    Holds per-worker RNG state; never share one instance across workers.
+    Holds no RNG state: each `draw_batch` call seeds its own generator
+    from its `key`, so equal calls give equal draws, whatever was drawn
+    before and whichever thread calls.
     """
 
-    def __init__(self, counts: np.ndarray, alpha: float = 1.0, seed: int = 0):
+    def __init__(self, counts: np.ndarray, alpha: float = 1.0):
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         counts = np.asarray(counts, dtype=np.float64)
@@ -89,30 +91,19 @@ class NegativeSampler:
         self.probs = weights / weights.sum()
         self.cumulative = np.cumsum(self.probs)
         self.alpha = alpha
-        self.rng = np.random.default_rng(seed)
 
-    def reseed(self, seed) -> None:
-        """Reset the RNG; draws after identical reseeds are identical."""
-        self.rng = np.random.default_rng(seed)
-
-    def _sample(self, k: int) -> np.ndarray:
-        u = self.rng.random(k)
-        return np.searchsorted(self.cumulative, u, side="right").astype(np.int64)
-
-    def draw(self, k: int, exclude: int) -> np.ndarray:
-        """k i.i.d. draws from P, resampling any draw equal to `exclude`."""
-        return self.draw_batch(k, np.array([exclude]))[0]
-
-    def draw_batch(self, k: int, excludes: np.ndarray) -> np.ndarray:
-        """(len(excludes), k) draws, row i excluding excludes[i]."""
+    def draw_batch(self, k: int, excludes: np.ndarray, key) -> np.ndarray:
+        """(len(excludes), k) draws from `np.random.default_rng(key)`, row i
+        excluding excludes[i]: a draw equal to it is drawn again."""
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
         if len(self.probs) < 2:
             raise ValueError("cannot draw negatives from a single-word vocabulary")
+        rng = np.random.default_rng(key)
         excludes = np.asarray(excludes)
-        ids = self._sample(k * len(excludes)).reshape(len(excludes), k)
-        bad = ids == excludes[:, None]
+        ids = np.empty((len(excludes), k), dtype=np.int64)
+        bad = np.ones(ids.shape, dtype=bool)  # every slot is drawn first
         while bad.any():
-            ids[bad] = self._sample(int(bad.sum()))
+            ids[bad] = np.searchsorted(self.cumulative, rng.random(int(bad.sum())), side="right")
             bad = ids == excludes[:, None]
         return ids

@@ -119,17 +119,9 @@ def score(w_vec: np.ndarray, e_vec: np.ndarray) -> float:
 
 
 @dataclass
-class CharPart:
-    char: str
-    ngram_ids: np.ndarray
-    feature: np.ndarray
-
-
-@dataclass
 class WordComposition:
     token: str
     word_id: int
-    chars: list[CharPart]
     vector: np.ndarray
 
 
@@ -233,13 +225,7 @@ class DweModel:
         wid = self.vocab.id_of.get(token)
         if wid is None:
             raise KeyError(f"token {token!r} not in vocabulary")
-        wids = np.array([wid], dtype=np.int64)
-        ptr, cids = _csr_rows(self.word_char_ptr, self.word_char_idx, wids)
-        feats = self.char_features(cids)
-        parts = [CharPart(self.chars[ci], self.char_ngram_ids[ci], f)
-                 for ci, f in zip(cids, feats)]
-        vec = self._compose(wids, ptr, feats, np.arange(len(cids)))[0]
-        return WordComposition(token, wid, parts, vec)
+        return WordComposition(token, wid, self.compose([wid])[0])
 
     # -- loss and gradients ----------------------------------------------
 

@@ -2,8 +2,9 @@
 
 A batch is `batch_size` (center, context) pairs; gradients are
 accumulated over the batch and applied once (mini-batch adagrad).
-Negatives for a pair are keyed to the pair's corpus position and the
-run seed, and every epoch visits the sentences in the same order, so
+A sentence's negatives are drawn with the key (run seed, sentence
+index), and every epoch visits the sentences in the same order, so
+every epoch scores the same pairs against the same negatives and
 per-epoch mean losses are comparable. One epoch loop serves both modes:
 workers take batches from one stream under a lock and apply their own
 updates. Deterministic mode has one worker, the calling thread, and is
@@ -82,6 +83,8 @@ class TrainingConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "hogwild" and self.threads < 1:
             raise ValueError("hogwild mode needs threads >= 1")
+        if self.mode == "deterministic" and self.threads > 1:
+            raise ValueError("deterministic mode trains one thread; use hogwild for more")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -192,19 +195,18 @@ def apply_grads(ckpt: Checkpoint, grads, lr: float, eps: float,
 
 
 def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
-                   rng: np.random.Generator, vocab: Vocab,
-                   sampler: NegativeSampler):
+                   sampler: NegativeSampler, keep_prob: np.ndarray | None):
     """Yield (centers, contexts, negatives) batch arrays for one epoch.
 
-    Negative draws are keyed to (run seed, sentence index), not to the
+    The sentence order and the subsampling (each token kept with
+    probability keep_prob[id], or all kept when None) come from a
+    generator seeded with the run seed, and a sentence's negatives are
+    drawn with the key (run seed, sentence index). Neither depends on the
     epoch, so every epoch scores the same multiset of (pair, negatives)
     triples and per-epoch mean losses are directly comparable.
     """
+    rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(sentences))
-    keep_prob = None
-    if config.subsample > 0:
-        freq = vocab.counts / vocab.counts.sum()
-        keep_prob = np.minimum(1.0, np.sqrt(config.subsample / freq))
     size = config.batch_size
     # (center, context, negatives...) rows not yet yielded
     pending: list[np.ndarray] = []
@@ -216,8 +218,8 @@ def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
         pairs = context_pairs(sent, config.window)
         if not len(pairs):
             continue
-        sampler.reseed((config.seed, int(si)))
-        pending.append(np.hstack([pairs, sampler.draw_batch(config.negatives, pairs[:, 0])]))
+        negatives = sampler.draw_batch(config.negatives, pairs[:, 0], (config.seed, int(si)))
+        pending.append(np.hstack([pairs, negatives]))
         buffered += len(pairs)
         while buffered >= size:
             rows = np.concatenate(pending)
@@ -230,7 +232,7 @@ def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
 
 
 def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
-                 sampler: NegativeSampler, rng: np.random.Generator) -> tuple[float, int]:
+                 sampler: NegativeSampler, keep_prob: np.ndarray | None) -> tuple[float, int]:
     """One epoch; returns the summed loss and the number of pairs.
 
     Each worker takes the next batch of the one `_epoch_batches` stream
@@ -240,7 +242,7 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
     raised here.
     """
     cfg = ckpt.config
-    batches = _epoch_batches(sentences, cfg, rng, ckpt.vocab, sampler)
+    batches = _epoch_batches(sentences, cfg, sampler, keep_prob)
     lock = threading.Lock()
     totals = [0.0, 0]
     errors: list[BaseException] = []
@@ -314,14 +316,14 @@ def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoin
         if len(ids) >= 2:
             sentences.append(ids)
     model = ckpt.model()
-    sampler = NegativeSampler(ckpt.vocab.counts, cfg.alpha, seed=cfg.seed)
+    sampler = NegativeSampler(ckpt.vocab.counts, cfg.alpha)
+    keep_prob = None
+    if cfg.subsample > 0:
+        freq = ckpt.vocab.counts / ckpt.vocab.counts.sum()
+        keep_prob = np.minimum(1.0, np.sqrt(cfg.subsample / freq))
     start = time.monotonic()
     for _ in range(cfg.epochs):
-        # Reseeded per epoch: every epoch shuffles with the same permutation
-        # and scores the same (pair, negatives) schedule, so per-epoch mean
-        # losses differ only through parameter improvement.
-        rng = np.random.default_rng(cfg.seed)
-        loss, pairs = _train_epoch(ckpt, model, sentences, sampler, rng)
+        loss, pairs = _train_epoch(ckpt, model, sentences, sampler, keep_prob)
         ckpt.epoch += 1
         mean = loss / pairs if pairs else float("nan")
         ckpt.epoch_mean_losses.append(mean)
@@ -469,7 +471,12 @@ def _parse_vocab(lines: list[str]) -> Vocab:
         w, _, c = line.partition("\t")
         words.append(w)
         counts.append(int(c))
-    return Vocab(words, np.array(counts, dtype=np.int64), int(lines[0].partition("=")[2]))
+    vocab = Vocab(words, np.array(counts, dtype=np.int64), int(lines[0].partition("=")[2]))
+    if len(vocab.id_of) != len(words):
+        raise ValueError("duplicate word")
+    if (vocab.counts < 1).any():
+        raise ValueError("word count below 1")
+    return vocab
 
 
 def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
@@ -481,7 +488,12 @@ def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
     per_char = {}
     for line in lines[pos + 1:pos + 1 + n_chars]:
         ch, _, ids = line.partition("\t")
-        per_char[ch] = [int(s) for s in ids.split(",")] if ids else []
+        if ch in per_char:
+            raise ValueError(f"duplicate character {ch!r}")
+        got = per_char[ch] = [int(s) for s in ids.split(",")] if ids else []
+        if len(set(got)) != len(got) or not all(0 <= i < n_ngrams for i in got):
+            raise ValueError(f"character {ch!r}: n-gram ids not distinct "
+                             f"or not in [0, {n_ngrams})")
     pos += 1 + n_chars
     n_skip = int(lines[pos].partition("=")[2])
     return StrokeNgramDict(ngram_ids, per_char, int(head["n_min"]), int(head["n_max"]),

@@ -72,43 +72,52 @@ class TestContextPairs:
 
 class TestNegativeSampler:
     def test_unigram_normalization(self):
-        s = NegativeSampler(np.array([3, 1]), alpha=1.0, seed=0)
+        s = NegativeSampler(np.array([3, 1]), alpha=1.0)
         np.testing.assert_allclose(s.probs, [0.75, 0.25])
         assert abs(s.probs.sum() - 1.0) < 1e-9
 
     def test_power_law_weights(self):
-        s = NegativeSampler(np.array([3, 1]), alpha=0.75, seed=0)
+        s = NegativeSampler(np.array([3, 1]), alpha=0.75)
         expected = 3 ** 0.75 / (3 ** 0.75 + 1)
         assert abs(s.probs[0] - expected) < 1e-9
         assert abs(s.probs[0] - 0.6951) < 1e-4
 
     def test_deterministic_under_seed(self):
-        a = NegativeSampler(np.array([5, 3, 2]), seed=42).draw(50, exclude=0)
-        b = NegativeSampler(np.array([5, 3, 2]), seed=42).draw(50, exclude=0)
+        a = NegativeSampler(np.array([5, 3, 2])).draw_batch(50, np.array([0]), 42)
+        b = NegativeSampler(np.array([5, 3, 2])).draw_batch(50, np.array([0]), 42)
         assert (a == b).all()
 
+    def test_keyed_draw_ignores_earlier_draws(self):
+        s = NegativeSampler(np.array([5, 3, 2, 2]))
+        excludes = np.array([0, 1, 2, 3] * 5)
+        first = s.draw_batch(6, excludes, (7, 3))
+        s.draw_batch(100, np.array([1]), 0)
+        s.draw_batch(6, excludes, (7, 4))
+        assert (s.draw_batch(6, excludes, (7, 3)) == first).all()
+
     def test_exclusion(self):
-        s = NegativeSampler(np.array([100, 1]), seed=0)
-        ids = s.draw(500, exclude=0)
+        s = NegativeSampler(np.array([100, 1]))
+        ids = s.draw_batch(500, np.array([0]), 0)
         assert (ids != 0).all()
 
     def test_single_word_vocab_errors(self):
-        s = NegativeSampler(np.array([5]), seed=0)
+        s = NegativeSampler(np.array([5]))
         with pytest.raises(ValueError):
-            s.draw(3, exclude=0)
+            s.draw_batch(3, np.array([0]), 0)
 
     def test_batch_exclusion_per_row(self):
-        s = NegativeSampler(np.array([10, 10, 1]), seed=1)
+        s = NegativeSampler(np.array([10, 10, 1]))
         excludes = np.array([0, 1] * 20)
-        ids = s.draw_batch(8, excludes)
+        ids = s.draw_batch(8, excludes, 1)
         assert (ids != excludes[:, None]).all()
 
     @pytest.mark.parametrize("alpha", [1.0, 0.75])
     def test_empirical_frequency_within_3_sigma(self, alpha):
         counts = np.array([50, 30, 12, 5, 3])
-        s = NegativeSampler(counts, alpha=alpha, seed=9)
+        s = NegativeSampler(counts, alpha=alpha)
         n = 1_000_000
-        draws = s._sample(n)  # no exclusion: test the raw distribution
+        # excluding an id that is never drawn: the raw distribution
+        draws = s.draw_batch(n, np.array([-1]), 9)[0]
         observed = np.bincount(draws, minlength=len(counts))
         for i, p in enumerate(s.probs):
             sigma = np.sqrt(n * p * (1 - p))

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from dwe.cli import run
-from dwe.corpus import Vocab
+from dwe.corpus import NegativeSampler, Vocab, context_pairs
 from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams, cnn_init
 from dwe.model import EmbeddingTables, Grads
 from dwe.morphology import StrokeNgramDict
 from dwe.trainer import (Accumulators, Checkpoint, CheckpointError, ConfigMismatchError,
-                         TrainingConfig, TrainingDivergedError, apply_grads, dump_checkpoint,
-                         export_vectors, init_checkpoint, load_checkpoint, load_vectors,
-                         save_checkpoint, train)
+                         TrainingConfig, TrainingDivergedError, _epoch_batches, apply_grads,
+                         dump_checkpoint, export_vectors, init_checkpoint, load_checkpoint,
+                         load_vectors, save_checkpoint, train)
 
 
 def small_config(**kw):
@@ -197,6 +197,19 @@ class TestTrain:
         assert all(0 < p < closed_form for p in pairs)
         assert dump_checkpoint(a) == dump_checkpoint(b)
 
+    def test_epoch_negatives_keyed_to_seed_and_sentence(self):
+        rng = np.random.default_rng(0)
+        sentences = [rng.integers(0, 20, size=n) for n in (5, 9, 4, 7)]
+        cfg = small_config(batch_size=1000)
+        sampler = NegativeSampler(rng.integers(1, 50, size=20))
+        centers, contexts, negatives = next(_epoch_batches(sentences, cfg, sampler, None))
+        si = int(np.random.default_rng(cfg.seed).permutation(len(sentences))[0])
+        pairs = context_pairs(sentences[si], cfg.window)
+        n = len(pairs)
+        assert (centers[:n] == pairs[:, 0]).all() and (contexts[:n] == pairs[:, 1]).all()
+        expected = sampler.draw_batch(cfg.negatives, pairs[:, 0], (cfg.seed, si))
+        assert (negatives[:n] == expected).all()
+
     def test_apply_grads_replaces_cnn_tensors_whole(self):
         ckpt = handmade_checkpoint("float64")
         lr, eps, g = 0.1, 1e-8, 0.5
@@ -330,8 +343,17 @@ class TestCheckpointIO:
         (0, lambda payload: payload.replace(b"dim=5", b"dim=five")),
         (1, lambda payload: b"\xff" + payload),
         (7, lambda payload: b"epoch=2\n"),
+        (2, lambda payload: payload.replace("中\t0,1,2".encode(), "中\t0,1,999".encode())),
+        (2, lambda payload: payload.replace("中\t0,1,2".encode(), "中\t0,1,-1".encode())),
+        (2, lambda payload: payload.replace("中\t0,1,2".encode(), "中\t0,0,0".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "中\t2".encode())),
+        (1, lambda payload: payload.replace("日本\t".encode(), "人\t".encode())),
+        (1, lambda payload: payload.replace("人\t4".encode(), "人\t0".encode())),
+        (1, lambda payload: payload.replace("日本\t2".encode(), "日本\t-3".encode())),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
-            "counters-without-step"])
+            "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
+            "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
+            "negative-count"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint("float32"))
         payloads = split_sections(blob)
@@ -426,6 +448,8 @@ class TestConfig:
             TrainingConfig(mode="warp").validate()
         with pytest.raises(ValueError):
             TrainingConfig(alpha=2.0).validate()
+        with pytest.raises(ValueError):
+            TrainingConfig(mode="deterministic", threads=2).validate()
 
     def test_default_hyperparameters(self):
         cfg = TrainingConfig()
