@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-glyphs", action="store_true", help="disable the glyph CNN channel")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--threads", type=int, default=None,
-                      help="hogwild mode with N worker threads")
+                      help="hogwild mode with N worker threads; needs --no-glyphs")
     mode.add_argument("--deterministic", action="store_true",
                       help="single-worker bit-reproducible mode (default)")
 

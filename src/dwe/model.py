@@ -107,8 +107,7 @@ def init_tables(vocab_size: int, n_ngrams: int, d: int, seed: int, dtype=np.floa
     return EmbeddingTables(
         word_id_vecs=rng.uniform(-bound, bound, size=(vocab_size, d)).astype(dtype),
         context_vecs=np.zeros((vocab_size, d), dtype=dtype),
-        ngram_vecs=rng.uniform(-bound, bound, size=(max(n_ngrams, 1), d)).astype(dtype)
-        if n_ngrams else np.zeros((0, d), dtype=dtype),
+        ngram_vecs=rng.uniform(-bound, bound, size=(n_ngrams, d)).astype(dtype),
     )
 
 

@@ -197,6 +197,8 @@ def parse_glyph_records(data: bytes | memoryview, name: str) -> dict[str, np.nda
     glyphs: dict[str, np.ndarray] = {}
     for off in range(4, len(data), rec_size):
         (cp,) = struct.unpack_from("<I", data, off)
+        if cp > 0x10FFFF:
+            raise GlyphPackError(f"{name}: codepoint U+{cp:04X} out of range")
         ch = chr(cp)
         if ch in glyphs:
             raise GlyphPackError(f"{name}: duplicate codepoint U+{cp:04X}")

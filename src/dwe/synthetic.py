@@ -26,7 +26,6 @@ class SyntheticData:
     glyphs_path: Path
     families: list[list[str]]        # sampling pools; words in a family share a char
     twin_chars: tuple[str, str]      # identical strokes, complementary glyphs
-    twin_words: tuple[str, str]      # the twins as standalone words
     words: list[str] = field(default_factory=list)
 
 
@@ -100,6 +99,5 @@ def make_synthetic_dataset(out_dir, seed: int = 0, n_families: int = 6,
         glyphs_path=glyphs_path,
         families=families,
         twin_chars=(twin_a, twin_b),
-        twin_words=(twin_a, twin_b),
         words=vocab,
     )

@@ -8,9 +8,9 @@ every epoch scores the same pairs against the same negatives and
 per-epoch mean losses are comparable. One epoch loop serves both modes:
 workers take batches from one stream under a lock and apply their own
 updates. Deterministic mode has one worker, the calling thread, and is
-bit-reproducible for a fixed seed. Hogwild mode has `threads` workers;
-they update embedding rows without a lock and update the CNN under the
-lock, replacing each tensor whole.
+bit-reproducible for a fixed seed. Hogwild mode has `threads` workers
+that update embedding rows without a lock; it trains without the glyph
+channel, so the CNN only ever has one writer.
 """
 from __future__ import annotations
 
@@ -173,12 +173,8 @@ def init_checkpoint(vocab: Vocab, ngram_dict: StrokeNgramDict,
                       Accumulators.zeros(tables, cnn))
 
 
-def apply_grads(ckpt: Checkpoint, grads, lr: float, eps: float,
-                lock=contextlib.nullcontext()) -> None:
-    """Adagrad on the touched embedding rows, in place and without a lock
-    (the hogwild contract), then on the CNN under `lock`. Each CNN tensor
-    is updated in a copy that replaces it whole, so a concurrent forward
-    pass reads either the old tensor or the new one."""
+def apply_grads(ckpt: Checkpoint, grads, lr: float, eps: float) -> None:
+    """Adagrad, in place, on the touched embedding rows and on the CNN."""
     t, a = ckpt.tables, ckpt.accum
     adagrad_step_rows(t.word_id_vecs, a.word_id, grads.word_id_ids,
                       grads.word_id_rows, lr, eps)
@@ -186,12 +182,9 @@ def apply_grads(ckpt: Checkpoint, grads, lr: float, eps: float,
                       grads.context_rows, lr, eps)
     adagrad_step_rows(t.ngram_vecs, a.ngram, grads.ngram_ids, grads.ngram_rows, lr, eps)
     if grads.cnn is not None:
-        with lock:
-            for (name, p), (_, g), (_, acc) in zip(ckpt.cnn.tensors(), grads.cnn.tensors(),
-                                                   a.cnn.tensors()):
-                p = p.copy()
-                adagrad_step(p, g, acc, lr, eps)
-                setattr(ckpt.cnn, name, p)
+        for (_, p), (_, g), (_, acc) in zip(ckpt.cnn.tensors(), grads.cnn.tensors(),
+                                            a.cnn.tensors()):
+            adagrad_step(p, g, acc, lr, eps)
 
 
 def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
@@ -258,7 +251,7 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch={ckpt.epoch} step={ckpt.step}")
-                apply_grads(ckpt, grads, cfg.lr, cfg.eps, lock)
+                apply_grads(ckpt, grads, cfg.lr, cfg.eps)
                 with lock:
                     totals[0] += loss
                     totals[1] += len(batch[0])
@@ -307,8 +300,11 @@ def train(corpus_path, stroke_table_path, glyph_pack_path,
 
 
 def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoint:
-    """Run ckpt.config.epochs over the corpus, mutating ckpt in place."""
+    """Run ckpt.config.epochs over the corpus, mutating ckpt in place.
+    Hogwild mode refuses the glyph channel; README "CLI" says why."""
     cfg = ckpt.config
+    if cfg.mode == "hogwild" and cfg.use_glyphs:
+        raise ValueError("hogwild mode trains without the glyph channel; add --no-glyphs")
     id_of = ckpt.vocab.id_of
     sentences = []
     for toks in read_sentences(corpus_path):
@@ -483,6 +479,8 @@ def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
     head = dict(part.split("=") for part in lines[0].split())
     n_ngrams = int(lines[1].partition("=")[2])
     ngram_ids = {tuple(int(s) for s in lines[2 + i].split(",")): i for i in range(n_ngrams)}
+    if len(ngram_ids) != n_ngrams:
+        raise ValueError("duplicate n-gram")
     pos = 2 + n_ngrams
     n_chars = int(lines[pos].partition("=")[2])
     per_char = {}

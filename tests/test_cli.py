@@ -47,6 +47,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["train", "--help"]) == 0
 
+    def test_threads_need_no_glyphs(self, synth_data, tmp_path, capsys):
+        args = ["train", "--corpus", str(synth_data.corpus_path),
+                "--strokes", str(synth_data.strokes_path),
+                "--glyphs", str(synth_data.glyphs_path), "--out", str(tmp_path / "m.dwe"),
+                "--dim", "12", "--batch", "256", "--epochs", "1", "--min-count", "1",
+                "--threads", "2"]
+        assert run(args) == 2
+        assert "--no-glyphs" in capsys.readouterr().err
+        assert not (tmp_path / "m.dwe").exists()
+        assert run(args + ["--no-glyphs"]) == 0
+        assert load_checkpoint(tmp_path / "m.dwe").config.threads == 2
+
 
 class TestHelpDefaults:
     @pytest.mark.parametrize("sub", ["train", "eval-sim", "eval-analogy",

@@ -170,6 +170,12 @@ class TestGlyphPack:
         with pytest.raises(GlyphPackError, match="duplicate"):
             parse_glyph_pack(blob)
 
+    def test_codepoint_out_of_range(self):
+        rec = (0x110000).to_bytes(4, "little") + bytes(98)
+        blob = b"DWEG\x01" + (1).to_bytes(4, "little") + rec
+        with pytest.raises(GlyphPackError, match="out of range"):
+            parse_glyph_pack(blob)
+
     def test_bitmap_packing_msb_first(self):
         bm = np.zeros((28, 28), dtype=np.uint8)
         bm[0, 0] = 1  # first bit -> MSB of first byte

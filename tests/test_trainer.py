@@ -17,7 +17,7 @@ from dwe.morphology import StrokeNgramDict
 from dwe.trainer import (Accumulators, Checkpoint, CheckpointError, ConfigMismatchError,
                          TrainingConfig, TrainingDivergedError, _epoch_batches, apply_grads,
                          dump_checkpoint, export_vectors, init_checkpoint, load_checkpoint,
-                         load_vectors, save_checkpoint, train)
+                         load_vectors, save_checkpoint, train, train_checkpoint)
 
 
 def small_config(**kw):
@@ -142,12 +142,12 @@ class TestTrain:
     def test_hogwild_runs(self, synth_data):
         # more workers than cores and a short switch interval: a lost update
         # to the step or pair count would show
-        det, det_pairs = train_logged(synth_data, small_config(epochs=1))
+        det, det_pairs = train_logged(synth_data, small_config(epochs=1, use_glyphs=False))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ckpt, pairs = train_logged(synth_data,
-                                       small_config(mode="hogwild", threads=3, epochs=1))
+            ckpt, pairs = train_logged(synth_data, small_config(
+                mode="hogwild", threads=3, epochs=1, use_glyphs=False))
         finally:
             sys.setswitchinterval(interval)
         assert np.isfinite(ckpt.tables.word_id_vecs).all()
@@ -161,7 +161,8 @@ class TestTrain:
             ckpt, counts = None, []
             for _ in range(3):
                 before = ckpt.step if ckpt else 0
-                ckpt, (pairs,) = train_logged(synth_data, small_config(epochs=1, **kw), ckpt)
+                ckpt, (pairs,) = train_logged(
+                    synth_data, small_config(epochs=1, use_glyphs=False, **kw), ckpt)
                 counts.append((pairs, ckpt.step - before))
             return counts, ckpt.epoch_mean_losses
 
@@ -172,12 +173,22 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode, threads", [("deterministic", 1), ("hogwild", 2)])
     def test_divergence_raised(self, synth_data, mode, threads):
-        ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
-                     synth_data.glyphs_path, small_config(epochs=0), log=None)
+        ckpt = train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
+                     small_config(epochs=0, use_glyphs=False), log=None)
         ckpt.tables.context_vecs[:] = np.nan
         with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch=0 step=0"):
             train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
-                  small_config(epochs=1, mode=mode, threads=threads), resume=ckpt, log=None)
+                  small_config(epochs=1, mode=mode, threads=threads, use_glyphs=False),
+                  resume=ckpt, log=None)
+
+    def test_hogwild_refuses_glyphs(self, synth_data):
+        ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
+                     synth_data.glyphs_path, small_config(epochs=0), log=None)
+        ckpt.config = small_config(mode="hogwild", threads=2)
+        before = dump_checkpoint(ckpt)
+        with pytest.raises(ValueError, match="--no-glyphs"):
+            train_checkpoint(ckpt, synth_data.corpus_path, log=None)
+        assert dump_checkpoint(ckpt) == before
 
     def test_subsample_one_keeps_every_pair(self, synth_data):
         off, _ = train_logged(synth_data, small_config())
@@ -210,18 +221,18 @@ class TestTrain:
         expected = sampler.draw_batch(cfg.negatives, pairs[:, 0], (cfg.seed, si))
         assert (negatives[:n] == expected).all()
 
-    def test_apply_grads_replaces_cnn_tensors_whole(self):
+    def test_apply_grads_updates_cnn_tensors_in_place(self):
         ckpt = handmade_checkpoint("float64")
         lr, eps, g = 0.1, 1e-8, 0.5
         no_rows = (np.zeros(0, np.int64), np.zeros((0, ckpt.config.dim)))
         grads = Grads(*no_rows, *no_rows, *no_rows,
                       CnnParams(*(np.full_like(t, g) for _, t in ckpt.cnn.tensors())))
-        held = dict(ckpt.cnn.tensors())  # what a concurrent reader holds
+        held = dict(ckpt.cnn.tensors())
         values = {name: t.copy() for name, t in held.items()}
         acc = {name: t + g * g for name, t in ckpt.accum.cnn.tensors()}
         apply_grads(ckpt, grads, lr, eps)
         for name, new in ckpt.cnn.tensors():
-            np.testing.assert_array_equal(held[name], values[name])
+            assert new is held[name]
             np.testing.assert_array_equal(getattr(ckpt.accum.cnn, name), acc[name])
             np.testing.assert_allclose(new, values[name] + lr * g / (np.sqrt(acc[name]) + eps),
                                        rtol=1e-12)
@@ -337,6 +348,29 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="glyph section.*duplicate"):
             load_checkpoint(p)
 
+    def test_out_of_range_glyph_codepoint(self, trained, tmp_path):
+        blob = dump_checkpoint(trained)
+        payloads = split_sections(blob)
+        payloads[3] = payloads[3][:4] + (0x110000).to_bytes(4, "little") + payloads[3][8:]
+        p = tmp_path / "c.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="glyph section.*out of range"):
+            load_checkpoint(p)
+        assert run(["nn", "--model", str(p), "--word", trained.vocab.words[0]]) == 2
+
+    def test_hogwild_glyph_config_still_loads(self, tmp_path, capsys):
+        # checkpoints written by glyph-channel hogwild runs stay readable
+        ckpt = handmade_checkpoint("float32")
+        ckpt.config = replace(ckpt.config, mode="hogwild", threads=2)
+        blob = dump_checkpoint(ckpt)
+        config = split_sections(blob)[0].decode().splitlines()
+        assert {"mode=hogwild", "threads=2", "use_glyphs=True"} <= set(config)
+        p = tmp_path / "h.dwe"
+        p.write_bytes(blob)
+        assert load_checkpoint(p).config == ckpt.config
+        assert run(["nn", "--model", str(p), "--word", "人"]) == 0
+        assert capsys.readouterr().out
+
     @pytest.mark.parametrize("section, edit", [
         (1, lambda payload: b""),
         (2, lambda payload: b""),
@@ -350,10 +384,11 @@ class TestCheckpointIO:
         (1, lambda payload: payload.replace("日本\t".encode(), "人\t".encode())),
         (1, lambda payload: payload.replace("人\t4".encode(), "人\t0".encode())),
         (1, lambda payload: payload.replace("日本\t2".encode(), "日本\t-3".encode())),
+        (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n0,2,5\n")),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
-            "negative-count"])
+            "negative-count", "duplicate-ngram"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint("float32"))
         payloads = split_sections(blob)
