@@ -25,13 +25,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DEFAULTS = TrainingConfig()
+_SUB_KWARGS = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dwe", description="Dual-channel Chinese word embeddings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[], help="train a model", **_sub_kwargs())
+    p = sub.add_parser("train", help="train a model", **_SUB_KWARGS)
     p.add_argument("--corpus", required=True, help="pre-segmented corpus, one sentence per line")
     p.add_argument("--strokes", required=True, help="stroke table file")
     p.add_argument("--glyphs", required=True, help="glyph pack file")
@@ -61,14 +62,14 @@ def _build_parser() -> _Parser:
     mode.add_argument("--deterministic", action="store_true",
                       help="single-worker bit-reproducible mode (default)")
 
-    p = sub.add_parser("eval-sim", help="word-similarity evaluation", **_sub_kwargs())
+    p = sub.add_parser("eval-sim", help="word-similarity evaluation", **_SUB_KWARGS)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="similarity dataset (word_a TAB word_b TAB score)")
     p.add_argument("--which", choices=("composed", "word_id"), default="composed",
                    help="vector source")
     p.add_argument("--json", action="store_true", help="JSON output instead of TSV")
 
-    p = sub.add_parser("eval-analogy", help="word-analogy evaluation", **_sub_kwargs())
+    p = sub.add_parser("eval-analogy", help="word-analogy evaluation", **_SUB_KWARGS)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="analogy dataset with ': group' headers")
     p.add_argument("--method", choices=("3cosadd", "3cosmul", "both"), default="both",
@@ -77,31 +78,27 @@ def _build_parser() -> _Parser:
                    help="vector source")
     p.add_argument("--json", action="store_true", help="JSON output instead of TSV")
 
-    p = sub.add_parser("nn", help="nearest neighbors of a word", **_sub_kwargs())
+    p = sub.add_parser("nn", help="nearest neighbors of a word", **_SUB_KWARGS)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--word", required=True, help="query token (OOV allowed)")
     p.add_argument("--k", type=int, default=10, help="number of neighbors")
     p.add_argument("--which", choices=("composed", "word_id"), default="composed",
                    help="vector source")
 
-    p = sub.add_parser("export", help="export vectors in word2vec text format", **_sub_kwargs())
+    p = sub.add_parser("export", help="export vectors in word2vec text format", **_SUB_KWARGS)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--out", required=True, help="output text file")
     p.add_argument("--which", choices=("composed", "word_id"), default="composed",
                    help="vector source")
 
     p = sub.add_parser("inspect", help="show a character's strokes, n-grams, glyph",
-                       **_sub_kwargs())
+                       **_SUB_KWARGS)
     p.add_argument("--strokes", required=True, help="stroke table file")
     p.add_argument("--glyphs", help="glyph pack file")
     p.add_argument("--char", required=True, help="single character to inspect")
     p.add_argument("--n-min", type=int, default=_DEFAULTS.n_min, help="shortest stroke n-gram")
     p.add_argument("--n-max", type=int, default=_DEFAULTS.n_max, help="longest stroke n-gram")
     return parser
-
-
-def _sub_kwargs():
-    return {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
 
 def _cmd_train(args) -> int:

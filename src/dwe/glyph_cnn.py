@@ -169,12 +169,6 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray):
     return feature, tape
 
 
-def cnn_forward(params: CnnParams, bitmap: np.ndarray):
-    """Single-bitmap convenience wrapper; returns (d-vector, tape)."""
-    feature, tape = cnn_forward_batch(params, np.asarray(bitmap)[None])
-    return feature[0], tape
-
-
 def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray) -> CnnParams:
     """Gradient of sum_b grad_output[b] . feature[b] w.r.t. every parameter."""
     grad_output = np.asarray(grad_output, dtype=tape.flat.dtype)
@@ -203,11 +197,3 @@ def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray
 
     return CnnParams(dconv1_w, dconv1_b, dconv2_w, dconv2_b,
                      dfc1_w, dfc1_b, dfc2_w, dfc2_b, dfc3_w, dfc3_b)
-
-
-def cnn_backward(params: CnnParams, tape: CnnTape, grad_output: np.ndarray) -> CnnParams:
-    """Single-sample wrapper matching cnn_forward."""
-    grad_output = np.asarray(grad_output)
-    if grad_output.ndim == 1:
-        grad_output = grad_output[None]
-    return cnn_backward_batch(params, tape, grad_output)

@@ -111,12 +111,6 @@ def init_tables(vocab_size: int, n_ngrams: int, d: int, seed: int, dtype=np.floa
     )
 
 
-def score(w_vec: np.ndarray, e_vec: np.ndarray) -> float:
-    if w_vec.shape != e_vec.shape:
-        raise ValueError(f"dimension mismatch: {w_vec.shape} vs {e_vec.shape}")
-    return float(np.dot(w_vec, e_vec))
-
-
 @dataclass
 class WordComposition:
     token: str
@@ -158,9 +152,6 @@ class DweModel:
         self.chars = chars
         self.char_ngram_ptr, self.char_ngram_idx = _csr(
             [ngram_dict.per_char.get(c, []) for c in chars])
-        # read-only per-character views into the CSR
-        self.char_ngram_ids = tuple(self.char_ngram_idx[a:b] for a, b in
-                                    zip(self.char_ngram_ptr[:-1], self.char_ngram_ptr[1:]))
         self.word_char_ptr, self.word_char_idx = _csr(
             [[self.char_index[c] for c in w if is_cjk(c)] for w in vocab.words])
         blank = np.zeros((GLYPH_SIDE, GLYPH_SIDE))
@@ -282,14 +273,6 @@ class DweModel:
             ng_ids, ng_rows = _group_sum(gids, dF * v, gpos)
         cnn_grads = None if tape is None else cnn_backward_batch(self.cnn, tape, dF * s)
         return loss, Grads(uc, dW, u_ctx, ctx_rows, ng_ids, ng_rows, cnn_grads)
-
-    def pair_loss_and_grads(self, center: int | str, context_id: int,
-                            negative_ids: np.ndarray) -> tuple[float, Grads]:
-        """Single-pair objective and gradients (batch of one)."""
-        if isinstance(center, str):
-            center = self.vocab.id_of[center]
-        return self.batch_loss_and_grads(np.array([center]), np.array([context_id]),
-                                         np.asarray(negative_ids, dtype=np.int64)[None])
 
 
 # -- adagrad -------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 import sys
@@ -71,8 +72,12 @@ class TrainingConfig:
     dtype: str = "float32"
 
     def validate(self) -> None:
-        if self.dim < 1 or self.lr <= 0 or self.batch_size < 1 or self.window < 1:
-            raise ValueError("dim, lr, batch_size, window must be positive")
+        if self.dim < 1 or self.batch_size < 1 or self.window < 1:
+            raise ValueError("dim, batch_size, window must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):
+            raise ValueError(f"lr and eps must be finite and positive, got {self.lr}, {self.eps}")
+        if not 0 <= self.subsample < math.inf:
+            raise ValueError(f"subsample must be finite and >= 0, got {self.subsample}")
         if not (1 <= self.n_min <= self.n_max):
             raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         if self.negatives < 1 or self.epochs < 0 or self.min_count < 1:
@@ -275,7 +280,15 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
 def train(corpus_path, stroke_table_path, glyph_pack_path,
           config: TrainingConfig, resume: Checkpoint | None = None,
           log=sys.stderr) -> Checkpoint:
+    """Train a new checkpoint, or `resume` with its own vocabulary, n-gram
+    dictionary and glyphs, so that a resumed run reads the corpus only.
+    Hogwild mode refuses the glyph channel (README "CLI" says why)."""
     config.validate()
+    if config.mode == "hogwild" and config.use_glyphs:
+        raise ValueError("hogwild mode trains without the glyph channel; add --no-glyphs")
+    if resume is not None:
+        _check_resumable(resume.config, config)
+        return train_checkpoint(replace(resume, config=config), corpus_path, log=log)
     tokens = (tok for sent in read_sentences(corpus_path) for tok in sent)
     vocab = build_vocab(tokens, config.min_count)
     stroke_table = load_stroke_table(stroke_table_path)
@@ -290,21 +303,13 @@ def train(corpus_path, stroke_table_path, glyph_pack_path,
     if missing_glyphs and log is not None:
         print(f"warning: {len(missing_glyphs)} characters lack glyphs (zero bitmap)",
               file=log)
-
-    if resume is not None:
-        _check_resumable(resume.config, config)
-        ckpt = replace(resume, config=config)
-    else:
-        ckpt = init_checkpoint(vocab, ngram_dict, glyphs, config)
-    return train_checkpoint(ckpt, corpus_path, log=log)
+    return train_checkpoint(init_checkpoint(vocab, ngram_dict, glyphs, config),
+                            corpus_path, log=log)
 
 
 def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoint:
-    """Run ckpt.config.epochs over the corpus, mutating ckpt in place.
-    Hogwild mode refuses the glyph channel; README "CLI" says why."""
+    """Run ckpt.config.epochs over the corpus, mutating ckpt in place."""
     cfg = ckpt.config
-    if cfg.mode == "hogwild" and cfg.use_glyphs:
-        raise ValueError("hogwild mode trains without the glyph channel; add --no-glyphs")
     id_of = ckpt.vocab.id_of
     sentences = []
     for toks in read_sentences(corpus_path):
@@ -500,7 +505,10 @@ def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
 
 def _parse_counters(lines: list[str]) -> tuple[int, int]:
     counters = dict(line.split("=") for line in lines)
-    return int(counters["epoch"]), int(counters["step"])
+    epoch, step = int(counters["epoch"]), int(counters["step"])
+    if epoch < 0 or step < 0:
+        raise ValueError(f"negative counter: epoch={epoch} step={step}")
+    return epoch, step
 
 
 def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:

@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from dwe.evaluation import Evaluator, cosine, spearman_rho
-from dwe.glyph_cnn import cnn_forward
+from dwe.glyph_cnn import cnn_forward_batch
 from dwe.model import adagrad_step_rows
 from dwe.morphology import (extract_ngrams, is_cjk, pack_bitmap,
                             parse_glyph_pack, dump_glyph_pack, unpack_bitmap)
@@ -131,8 +131,8 @@ def test_criterion_3_composition_factoring():
     model = make_micro_model(seed=4, d=8, dtype=np.float64)
     for ch in model.chars:
         ci = model.char_index[ch]
-        ids = model.char_ngram_ids[ci]
-        v, _ = cnn_forward(model.cnn, model.char_bitmaps[ci])
+        ids = model.ngram_dict.per_char.get(ch, [])
+        v = cnn_forward_batch(model.cnn, model.char_bitmaps[ci][None])[0][0]
         expected = np.zeros(8)
         for gid in ids:
             expected += model.tables.ngram_vecs[gid] * v
@@ -301,8 +301,8 @@ def test_criterion_8_data_rule_conformance(synth_data):
     expected = np.zeros(16)
     for ch in (ca, cb):
         ci = model.char_index[ch]
-        v, _ = cnn_forward(model.cnn, model.char_bitmaps[ci])
-        feat = model.tables.ngram_vecs[model.char_ngram_ids[ci]].sum(axis=0) * v
+        v = cnn_forward_batch(model.cnn, model.char_bitmaps[ci][None])[0][0]
+        feat = model.tables.ngram_vecs[model.ngram_dict.per_char.get(ch, [])].sum(axis=0) * v
         expected += feat / 2.0
     np.testing.assert_allclose(ev.vector(ca + cb), expected, rtol=1e-5, atol=1e-5)
     _report(8, "is_cjk boundaries exact; glyph codec bit-exact; "

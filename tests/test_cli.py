@@ -42,6 +42,14 @@ class TestExitCodes:
                     "--glyphs", str(synth_data.glyphs_path),
                     "--out", str(tmp_path / "m.dwe")]) == 2
 
+    def test_untrainable_config_is_2(self, tmp_path, capsys):
+        # refused before any input is read or the output is written
+        missing = str(tmp_path / "missing")
+        assert run(["train", "--corpus", missing, "--strokes", missing, "--glyphs", missing,
+                    "--out", str(tmp_path / "m.dwe"), "--lr", "nan"]) == 2
+        assert "lr and eps must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.dwe").exists()
+
     def test_help_is_0(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
@@ -56,6 +64,9 @@ class TestExitCodes:
         assert run(args) == 2
         assert "--no-glyphs" in capsys.readouterr().err
         assert not (tmp_path / "m.dwe").exists()
+        # the flag conflict is reported before the corpus is opened
+        assert run(["train", "--corpus", str(tmp_path / "missing.txt")] + args[3:]) == 2
+        assert "--no-glyphs" in capsys.readouterr().err
         assert run(args + ["--no-glyphs"]) == 0
         assert load_checkpoint(tmp_path / "m.dwe").config.threads == 2
 

@@ -281,6 +281,6 @@ class TestDatasetLoaders:
 def test_stroke_only_ablation_pins_identical_stroke_chars():
     base = make_micro_model(seed=20, use_glyphs=False)
     # force two characters onto one stroke sequence
-    m = with_char_ngrams(base, {1: base.char_ngram_ids[0]})
+    m = with_char_ngrams(base, {1: base.ngram_dict.per_char.get(base.chars[0], [])})
     f0, f1 = m.char_feature(m.chars[0]), m.char_feature(m.chars[1])
     assert cosine(f0, f1) == 1.0

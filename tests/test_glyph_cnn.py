@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwe.glyph_cnn import (CnnParams, _pool, _unpool, cnn_backward, cnn_forward,
+from dwe.glyph_cnn import (CnnParams, _pool, _unpool, cnn_backward_batch,
                            cnn_forward_batch, cnn_init)
 from helpers import check_grad_tensor
 
@@ -14,12 +14,12 @@ class TestForward:
     def test_zero_input_zero_bias_gives_fc3_bias(self):
         params = cnn_init(0, 8, np.float64)
         params.fc3_b[:] = np.arange(8, dtype=np.float64)
-        feat, _ = cnn_forward(params, np.zeros((28, 28)))
-        np.testing.assert_allclose(feat, params.fc3_b)
+        feat, _ = cnn_forward_batch(params, np.zeros((1, 28, 28)))
+        np.testing.assert_allclose(feat[0], params.fc3_b)
 
     def test_shape_trace(self):
         params = cnn_init(1, 5, np.float64)
-        feat, tape = cnn_forward(params, random_bitmap(0))
+        feat, tape = cnn_forward_batch(params, random_bitmap(0)[None])
         assert tape.col1.shape == (1, 24, 24, 25)
         assert tape.pre1.shape == (1, 24, 24, 6)
         assert tape.max1.shape == (1, 12, 12, 6)
@@ -29,7 +29,7 @@ class TestForward:
         assert tape.flat.shape == (1, 256)
         assert tape.pre_fc1.shape == (1, 120)
         assert tape.pre_fc2.shape == (1, 84)
-        assert feat.shape == (5,)
+        assert feat[0].shape == (5,)
         # the flatten reads the channels-last map in (C, H, W) order
         np.testing.assert_array_equal(tape.flat[0].reshape(16, 4, 4),
                                       np.maximum(tape.max2[0], 0).transpose(2, 0, 1))
@@ -37,8 +37,8 @@ class TestForward:
     def test_purity(self):
         params = cnn_init(2, 7, np.float64)
         bm = random_bitmap(3)
-        f1, _ = cnn_forward(params, bm)
-        f2, _ = cnn_forward(params, bm)
+        f1, _ = cnn_forward_batch(params, bm[None])
+        f2, _ = cnn_forward_batch(params, bm[None])
         np.testing.assert_array_equal(f1, f2)
 
     def test_batch_matches_single(self):
@@ -46,8 +46,8 @@ class TestForward:
         bms = np.stack([random_bitmap(i) for i in range(4)])
         batch, _ = cnn_forward_batch(params, bms)
         for i in range(4):
-            single, _ = cnn_forward(params, bms[i])
-            np.testing.assert_allclose(batch[i], single)
+            single, _ = cnn_forward_batch(params, bms[i][None])
+            np.testing.assert_allclose(batch[i], single[0])
 
     def test_bad_shape(self):
         params = cnn_init(0, 4)
@@ -85,23 +85,23 @@ class TestInit:
 class TestBackward:
     def test_zero_grad_output_zero_grads(self):
         params = cnn_init(0, 8, np.float64)
-        _, tape = cnn_forward(params, random_bitmap(1))
-        grads = cnn_backward(params, tape, np.zeros(8))
+        _, tape = cnn_forward_batch(params, random_bitmap(1)[None])
+        grads = cnn_backward_batch(params, tape, np.zeros((1, 8)))
         for _, t in grads.tensors():
             assert (t == 0).all()
 
     def test_fc3_bias_gradient_is_grad_output(self):
         params = cnn_init(1, 8, np.float64)
-        _, tape = cnn_forward(params, random_bitmap(2))
+        _, tape = cnn_forward_batch(params, random_bitmap(2)[None])
         go = np.arange(8, dtype=np.float64)
-        grads = cnn_backward(params, tape, go)
+        grads = cnn_backward_batch(params, tape, go[None])
         np.testing.assert_array_equal(grads.fc3_b, go)
 
     def test_mismatched_grad_output(self):
         params = cnn_init(1, 8, np.float64)
-        _, tape = cnn_forward(params, random_bitmap(2))
+        _, tape = cnn_forward_batch(params, random_bitmap(2)[None])
         with pytest.raises(ValueError):
-            cnn_backward(params, tape, np.zeros((2, 8)))
+            cnn_backward_batch(params, tape, np.zeros((2, 8)))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("bitmap_seed", [10, 11, 12])
@@ -113,11 +113,11 @@ class TestBackward:
         go = rng.normal(0, 1, d)
 
         def loss():
-            feat, _ = cnn_forward(params, bm)
-            return float(go @ feat)
+            feat, _ = cnn_forward_batch(params, bm[None])
+            return float(go @ feat[0])
 
-        _, tape = cnn_forward(params, bm)
-        grads = cnn_backward(params, tape, go)
+        _, tape = cnn_forward_batch(params, bm[None])
+        grads = cnn_backward_batch(params, tape, go[None])
         for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
             worst = check_grad_tensor(p, g, loss, rng, max_coords=15)
             assert worst < 1e-4, f"{name}: rel err {worst}"

@@ -4,30 +4,11 @@ import numpy as np
 import pytest
 
 from dwe.corpus import Vocab
-from dwe.glyph_cnn import cnn_forward, cnn_init
+from dwe.glyph_cnn import cnn_forward_batch, cnn_init
 from dwe.model import (DweModel, adagrad_step, adagrad_step_rows, init_tables,
-                       log_sigmoid, score, sigmoid)
+                       log_sigmoid, sigmoid)
 from dwe.morphology import build_ngram_dict
 from helpers import check_grad_tensor, make_micro_model, with_char_ngrams
-
-
-class TestScore:
-    def test_orthogonal(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_all_ones(self):
-        d = 7
-        assert score(np.ones(d), np.ones(d)) == d
-
-    def test_against_naive_sum_oracle(self):
-        rng = np.random.default_rng(0)
-        w, e = rng.normal(0, 1, 50), rng.normal(0, 1, 50)
-        naive = sum(float(a) * float(b) for a, b in zip(w, e))
-        assert abs(score(w, e) - naive) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            score(np.zeros(3), np.zeros(4))
 
 
 class TestLogSigmoid:
@@ -63,9 +44,9 @@ class TestCharFeature:
     def test_matches_unfactored_loop(self):
         m = make_micro_model(seed=1, d=5)
         for ci, ch in enumerate(m.chars):
-            v, _ = cnn_forward(m.cnn, m.char_bitmaps[ci])
+            v = cnn_forward_batch(m.cnn, m.char_bitmaps[ci][None])[0][0]
             expected = np.zeros(5)
-            for gid in m.char_ngram_ids[ci]:
+            for gid in m.ngram_dict.per_char.get(ch, []):
                 expected += m.tables.ngram_vecs[gid] * v
             np.testing.assert_allclose(m.char_feature(ch), expected, atol=1e-9)
 
@@ -128,7 +109,7 @@ class TestPairLoss:
         # fresh context table is zero, so every score is 0
         m = make_micro_model(seed=8)
         m.tables.context_vecs[:] = 0
-        loss, _ = m.pair_loss_and_grads(0, 1, np.array([2, 3]))
+        loss, _ = m.batch_loss_and_grads([0], [1], [np.array([2, 3])])
         assert abs(loss - 3 * math.log(0.5)) < 1e-12
 
     def test_sigmoid_derivative_at_zero(self):
@@ -140,7 +121,7 @@ class TestPairLoss:
         contexts = np.array([1, 2, 3])
         negs = np.array([[2, 3], [0, 3], [1, 2]])
         batch_loss, _ = m.batch_loss_and_grads(centers, contexts, negs)
-        pair_sum = sum(m.pair_loss_and_grads(c, x, n)[0]
+        pair_sum = sum(m.batch_loss_and_grads([c], [x], [n])[0]
                        for c, x, n in zip(centers, contexts, negs))
         assert abs(batch_loss - pair_sum) < 1e-9
 
@@ -163,8 +144,8 @@ class TestPairLoss:
         rng = np.random.default_rng(seed + 1000)
         center, ctx = 0, 1
         negs = np.array([2, 3])
-        loss_fn = lambda: m.pair_loss_and_grads(center, ctx, negs)[0]
-        _, grads = m.pair_loss_and_grads(center, ctx, negs)
+        loss_fn = lambda: m.batch_loss_and_grads([center], [ctx], [negs])[0]
+        _, grads = m.batch_loss_and_grads([center], [ctx], [negs])
 
         dense = {
             "word_id": np.zeros_like(m.tables.word_id_vecs),
@@ -197,7 +178,8 @@ def test_batch_gradients_every_channel_setting(use_ngrams, use_glyphs):
     negs = np.array([[1, 3], [4, 5], [2, 2], [1, 3], [0, 4], [2, 1], [2, 0], [3, 5]])
     loss_fn = lambda: m.batch_loss_and_grads(centers, contexts, negs)[0]
     loss, grads = m.batch_loss_and_grads(centers, contexts, negs)
-    pair_sum = sum(m.pair_loss_and_grads(c, x, n)[0] for c, x, n in zip(centers, contexts, negs))
+    pair_sum = sum(m.batch_loss_and_grads([c], [x], [n])[0]
+                   for c, x, n in zip(centers, contexts, negs))
     assert abs(loss - pair_sum) < 1e-12
     assert (grads.cnn is not None) == use_glyphs
     assert len(grads.ngram_ids) > 0 or not use_ngrams

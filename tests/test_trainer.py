@@ -17,7 +17,7 @@ from dwe.morphology import StrokeNgramDict
 from dwe.trainer import (Accumulators, Checkpoint, CheckpointError, ConfigMismatchError,
                          TrainingConfig, TrainingDivergedError, _epoch_batches, apply_grads,
                          dump_checkpoint, export_vectors, init_checkpoint, load_checkpoint,
-                         load_vectors, save_checkpoint, train, train_checkpoint)
+                         load_vectors, save_checkpoint, train)
 
 
 def small_config(**kw):
@@ -181,13 +181,17 @@ class TestTrain:
                   small_config(epochs=1, mode=mode, threads=threads, use_glyphs=False),
                   resume=ckpt, log=None)
 
-    def test_hogwild_refuses_glyphs(self, synth_data):
+    def test_hogwild_refuses_glyphs(self, synth_data, tmp_path):
+        # refused before any input is read: the input paths do not exist
         ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
                      synth_data.glyphs_path, small_config(epochs=0), log=None)
         ckpt.config = small_config(mode="hogwild", threads=2)
         before = dump_checkpoint(ckpt)
+        missing = tmp_path / "missing"
         with pytest.raises(ValueError, match="--no-glyphs"):
-            train_checkpoint(ckpt, synth_data.corpus_path, log=None)
+            train(missing, missing, missing, ckpt.config, resume=ckpt, log=None)
+        with pytest.raises(ValueError, match="--no-glyphs"):
+            train(missing, missing, missing, ckpt.config, log=None)
         assert dump_checkpoint(ckpt) == before
 
     def test_subsample_one_keeps_every_pair(self, synth_data):
@@ -250,6 +254,20 @@ class TestTrain:
         ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
                      synth_data.glyphs_path, cfg, resume=trained, log=None)
         assert ckpt.epoch == trained.epoch + 1
+
+    def test_resume_reads_corpus_only(self, synth_data, trained, tmp_path):
+        # the n-gram dictionary and glyphs come from the checkpoint, so a
+        # resume never opens the stroke table or the glyph pack
+        p = tmp_path / "m.dwe"
+        save_checkpoint(trained, p)
+        missing = tmp_path / "missing"
+        cfg = small_config(epochs=1)
+        got = train(synth_data.corpus_path, missing, missing, cfg,
+                    resume=load_checkpoint(p), log=None)
+        want = train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
+                     cfg, resume=load_checkpoint(p), log=None)
+        assert got.epoch == trained.epoch + 1
+        assert dump_checkpoint(got) == dump_checkpoint(want)
 
 
 class TestCheckpointIO:
@@ -385,10 +403,11 @@ class TestCheckpointIO:
         (1, lambda payload: payload.replace("人\t4".encode(), "人\t0".encode())),
         (1, lambda payload: payload.replace("日本\t2".encode(), "日本\t-3".encode())),
         (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n0,2,5\n")),
+        (7, lambda payload: b"epoch=-1\nstep=17\n"),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
-            "negative-count", "duplicate-ngram"])
+            "negative-count", "duplicate-ngram", "negative-epoch"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint("float32"))
         payloads = split_sections(blob)
@@ -485,6 +504,21 @@ class TestConfig:
             TrainingConfig(alpha=2.0).validate()
         with pytest.raises(ValueError):
             TrainingConfig(mode="deterministic", threads=2).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("eps", -1.0), ("eps", 0.0),
+        ("eps", float("nan")), ("subsample", -0.5), ("subsample", float("nan")),
+        ("subsample", float("inf"))])
+    def test_rejects_values_that_cannot_train(self, field, value, tmp_path):
+        cfg = replace(small_config(), **{field: value})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate()
+        ckpt = handmade_checkpoint("float32")
+        ckpt.config = replace(ckpt.config, **{field: value})
+        p = tmp_path / "x.dwe"
+        save_checkpoint(ckpt, p)
+        with pytest.raises(CheckpointError, match="bad config section"):
+            load_checkpoint(p)
 
     def test_default_hyperparameters(self):
         cfg = TrainingConfig()
