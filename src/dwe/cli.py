@@ -112,8 +112,7 @@ def _cmd_train(args) -> int:
     if args.threads is not None:
         config.mode = "hogwild"
         config.threads = args.threads
-    resume = load_checkpoint(args.resume) if args.resume else None
-    ckpt = train(args.corpus, args.strokes, args.glyphs, config, resume=resume)
+    ckpt = train(args.corpus, args.strokes, args.glyphs, config, resume=args.resume)
     save_checkpoint(ckpt, args.out)
     return 0
 

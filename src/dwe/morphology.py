@@ -221,6 +221,6 @@ def write_glyph_pack(glyphs: dict[str, np.ndarray], path) -> None:
         fh.write(dump_glyph_pack(glyphs))
 
 
-def bitmap_ascii(pixels: np.ndarray, ink: str = "#", blank: str = ".") -> str:
+def bitmap_ascii(pixels: np.ndarray) -> str:
     pixels = validate_bitmap(pixels)
-    return "\n".join("".join(ink if v else blank for v in row) for row in pixels)
+    return "\n".join("".join("#" if v else "." for v in row) for row in pixels)

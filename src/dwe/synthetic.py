@@ -1,11 +1,12 @@
 """Synthetic toy corpora with matching stroke tables and glyph packs.
 
-Used by the morphology experiments and the test suite: word families
-share a head character, so character-sharing word pairs co-occur, and a
-pair of twin characters shares an identical stroke sequence but has
-complementary glyphs. Each twin occurs as a standalone word inside a
-different family, so the two are trained in disjoint contexts and only
-the glyph channel can tell them apart.
+Used by the test suite, including acceptance criterion 6, by the
+benchmark's `train-glyph` workload and by `scripts/digests.py`: word
+families share a head character, so character-sharing word pairs
+co-occur, and a pair of twin characters shares an identical stroke
+sequence but has complementary glyphs. Each twin occurs as a standalone
+word inside a different family, so the two are trained in disjoint
+contexts and only the glyph channel can tell them apart.
 """
 from __future__ import annotations
 
@@ -17,6 +18,11 @@ import numpy as np
 from .morphology import GLYPH_SIDE, write_glyph_pack, write_stroke_table
 
 _BASE_CP = 0x4E00  # synthetic characters reuse real CJK codepoints
+N_FAMILIES = 6
+WORDS_PER_FAMILY = 6
+N_SENTENCES = 200
+SENTENCE_LEN = 12
+TWIN_COPIES = 3  # slots each twin takes in its family's sampling pool: how often it occurs
 
 
 @dataclass
@@ -35,15 +41,8 @@ def _random_glyph(rng: np.random.Generator) -> np.ndarray:
     return np.kron(coarse, np.ones((4, 4), dtype=np.uint8))[:GLYPH_SIDE, :GLYPH_SIDE]
 
 
-def make_synthetic_dataset(out_dir, seed: int = 0, n_families: int = 6,
-                           words_per_family: int = 6, n_sentences: int = 200,
-                           sentence_len: int = 12,
-                           twin_copies: int = 3) -> SyntheticData:
-    """Write corpus.txt, strokes.tsv and glyphs.bin under `out_dir`.
-
-    `twin_copies` controls how many slots each twin occupies in its
-    family's sampling pool, i.e. how often it appears in the corpus.
-    """
+def make_synthetic_dataset(out_dir, seed: int = 0) -> SyntheticData:
+    """Write corpus.txt, strokes.tsv and glyphs.bin under `out_dir`."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -66,9 +65,9 @@ def make_synthetic_dataset(out_dir, seed: int = 0, n_families: int = 6,
         return ch
 
     families: list[list[str]] = []
-    for _ in range(n_families):
+    for _ in range(N_FAMILIES):
         head = add_char(new_char())
-        words = [head + add_char(new_char()) for _ in range(words_per_family)]
+        words = [head + add_char(new_char()) for _ in range(WORDS_PER_FAMILY)]
         families.append(words)
 
     # twin characters: same strokes, complementary glyphs, disjoint contexts
@@ -76,13 +75,13 @@ def make_synthetic_dataset(out_dir, seed: int = 0, n_families: int = 6,
     bitmap_a = _random_glyph(rng)
     twin_a = add_char(new_char(), list(twin_codes), bitmap_a)
     twin_b = add_char(new_char(), list(twin_codes), 1 - bitmap_a)
-    families[0].extend([twin_a] * twin_copies)
-    families[1].extend([twin_b] * twin_copies)
+    families[0].extend([twin_a] * TWIN_COPIES)
+    families[1].extend([twin_b] * TWIN_COPIES)
 
     sentences = []
-    for _ in range(n_sentences):
+    for _ in range(N_SENTENCES):
         fam = families[int(rng.integers(len(families)))]
-        picks = rng.integers(0, len(fam), size=sentence_len)
+        picks = rng.integers(0, len(fam), size=SENTENCE_LEN)
         sentences.append(" ".join(fam[i] for i in picks))
 
     corpus_path = out_dir / "corpus.txt"

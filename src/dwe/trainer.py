@@ -22,7 +22,7 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,8 +86,8 @@ class TrainingConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.mode not in ("deterministic", "hogwild"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "hogwild" and self.threads < 1:
-            raise ValueError("hogwild mode needs threads >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.mode == "deterministic" and self.threads > 1:
             raise ValueError("deterministic mode trains one thread; use hogwild for more")
         if self.dtype not in ("float32", "float64"):
@@ -278,17 +278,20 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
 
 
 def train(corpus_path, stroke_table_path, glyph_pack_path,
-          config: TrainingConfig, resume: Checkpoint | None = None,
-          log=sys.stderr) -> Checkpoint:
-    """Train a new checkpoint, or `resume` with its own vocabulary, n-gram
-    dictionary and glyphs, so that a resumed run reads the corpus only.
-    Hogwild mode refuses the glyph channel (README "CLI" says why)."""
+          config: TrainingConfig, resume=None, log=sys.stderr) -> Checkpoint:
+    """Train a new checkpoint, or resume the checkpoint file `resume` with its
+    own vocabulary, n-gram dictionary and glyphs, so that a resumed run reads
+    the corpus only. The config is checked before any input is read, and the
+    file is left unchanged. Hogwild mode refuses the glyph channel (README
+    "CLI" says why)."""
     config.validate()
     if config.mode == "hogwild" and config.use_glyphs:
         raise ValueError("hogwild mode trains without the glyph channel; add --no-glyphs")
     if resume is not None:
-        _check_resumable(resume.config, config)
-        return train_checkpoint(replace(resume, config=config), corpus_path, log=log)
+        ckpt = load_checkpoint(resume)
+        _check_resumable(ckpt.config, config)
+        ckpt.config = config
+        return train_checkpoint(ckpt, corpus_path, log=log)
     tokens = (tok for sent in read_sentences(corpus_path) for tok in sent)
     vocab = build_vocab(tokens, config.min_count)
     stroke_table = load_stroke_table(stroke_table_path)

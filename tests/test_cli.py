@@ -45,10 +45,12 @@ class TestExitCodes:
     def test_untrainable_config_is_2(self, tmp_path, capsys):
         # refused before any input is read or the output is written
         missing = str(tmp_path / "missing")
-        assert run(["train", "--corpus", missing, "--strokes", missing, "--glyphs", missing,
-                    "--out", str(tmp_path / "m.dwe"), "--lr", "nan"]) == 2
-        assert "lr and eps must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "m.dwe").exists()
+        args = ["train", "--corpus", missing, "--strokes", missing, "--glyphs", missing,
+                "--out", str(tmp_path / "m.dwe"), "--lr", "nan"]
+        for extra in ([], ["--resume", missing]):
+            assert run(args + extra) == 2
+            assert "lr and eps must be finite" in capsys.readouterr().err
+            assert not (tmp_path / "m.dwe").exists()
 
     def test_help_is_0(self, capsys):
         assert run(["--help"]) == 0
@@ -67,6 +69,10 @@ class TestExitCodes:
         # the flag conflict is reported before the corpus is opened
         assert run(["train", "--corpus", str(tmp_path / "missing.txt")] + args[3:]) == 2
         assert "--no-glyphs" in capsys.readouterr().err
+        # and before the checkpoint to resume from is opened
+        assert run(args + ["--resume", str(tmp_path / "missing.dwe")]) == 2
+        assert "--no-glyphs" in capsys.readouterr().err
+        assert not (tmp_path / "m.dwe").exists()
         assert run(args + ["--no-glyphs"]) == 0
         assert load_checkpoint(tmp_path / "m.dwe").config.threads == 2
 

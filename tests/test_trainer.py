@@ -65,6 +65,13 @@ def train_logged(data, cfg, resume=None):
     return ckpt, pairs
 
 
+def trained_arrays(ckpt):
+    """The tables, CNN tensors and accumulators of `ckpt`."""
+    t, acc = ckpt.tables, ckpt.accum
+    return [t.word_id_vecs, t.context_vecs, t.ngram_vecs, *(a for _, a in ckpt.cnn.tensors()),
+            acc.word_id, acc.context, acc.ngram, *(a for _, a in acc.cnn.tensors())]
+
+
 def split_sections(blob):
     """The eight section payloads of a checkpoint."""
     off, payloads = 6, []
@@ -154,17 +161,20 @@ class TestTrain:
         assert ckpt.step == det.step > 0
         assert pairs == det_pairs
 
-    def test_hogwild_epochs_match_deterministic(self, synth_data):
+    def test_hogwild_epochs_match_deterministic(self, synth_data, tmp_path):
         def epochs(**kw):
             """(pairs, steps) of three epochs trained one call at a time,
-            and their mean losses."""
-            ckpt, counts = None, []
+            each resuming from the file the call before saved, and their
+            mean losses."""
+            p, resume, before, counts, losses = tmp_path / "e.dwe", None, 0, [], []
             for _ in range(3):
-                before = ckpt.step if ckpt else 0
                 ckpt, (pairs,) = train_logged(
-                    synth_data, small_config(epochs=1, use_glyphs=False, **kw), ckpt)
+                    synth_data, small_config(epochs=1, use_glyphs=False, **kw), resume)
                 counts.append((pairs, ckpt.step - before))
-            return counts, ckpt.epoch_mean_losses
+                losses += ckpt.epoch_mean_losses
+                save_checkpoint(ckpt, p)
+                resume, before = p, ckpt.step
+            return counts, losses
 
         det, _ = epochs()
         hog, losses = epochs(mode="hogwild", threads=2)
@@ -172,27 +182,30 @@ class TestTrain:
         assert losses[0] < losses[1] < losses[2]
 
     @pytest.mark.parametrize("mode, threads", [("deterministic", 1), ("hogwild", 2)])
-    def test_divergence_raised(self, synth_data, mode, threads):
+    def test_divergence_raised(self, synth_data, mode, threads, tmp_path):
         ckpt = train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
                      small_config(epochs=0, use_glyphs=False), log=None)
         ckpt.tables.context_vecs[:] = np.nan
+        p = tmp_path / "nan.dwe"
+        save_checkpoint(ckpt, p)
         with pytest.raises(TrainingDivergedError, match="non-finite loss at epoch=0 step=0"):
             train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
                   small_config(epochs=1, mode=mode, threads=threads, use_glyphs=False),
-                  resume=ckpt, log=None)
+                  resume=p, log=None)
 
     def test_hogwild_refuses_glyphs(self, synth_data, tmp_path):
         # refused before any input is read: the input paths do not exist
         ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
                      synth_data.glyphs_path, small_config(epochs=0), log=None)
-        ckpt.config = small_config(mode="hogwild", threads=2)
-        before = dump_checkpoint(ckpt)
+        p = tmp_path / "m.dwe"
+        save_checkpoint(ckpt, p)
+        before = p.read_bytes()
+        cfg = small_config(mode="hogwild", threads=2)
         missing = tmp_path / "missing"
-        with pytest.raises(ValueError, match="--no-glyphs"):
-            train(missing, missing, missing, ckpt.config, resume=ckpt, log=None)
-        with pytest.raises(ValueError, match="--no-glyphs"):
-            train(missing, missing, missing, ckpt.config, log=None)
-        assert dump_checkpoint(ckpt) == before
+        for resume in (p, missing, None):
+            with pytest.raises(ValueError, match="--no-glyphs"):
+                train(missing, missing, missing, cfg, resume=resume, log=None)
+        assert p.read_bytes() == before
 
     def test_subsample_one_keeps_every_pair(self, synth_data):
         off, _ = train_logged(synth_data, small_config())
@@ -246,14 +259,29 @@ class TestTrain:
         save_checkpoint(trained, p)
         with pytest.raises(ConfigMismatchError):
             train(synth_data.corpus_path, synth_data.strokes_path,
-                  synth_data.glyphs_path, small_config(dim=300),
-                  resume=load_checkpoint(p), log=None)
+                  synth_data.glyphs_path, small_config(dim=300), resume=p, log=None)
 
     def test_resume_continues(self, synth_data, trained, tmp_path):
+        p = tmp_path / "m.dwe"
+        save_checkpoint(trained, p)
         cfg = small_config(epochs=1)
         ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
-                     synth_data.glyphs_path, cfg, resume=trained, log=None)
+                     synth_data.glyphs_path, cfg, resume=p, log=None)
         assert ckpt.epoch == trained.epoch + 1
+
+    @pytest.mark.parametrize("kw", [{}, {"subsample": 0.01}])
+    def test_resume_from_file_equals_uninterrupted(self, synth_data, tmp_path, kw):
+        paths = (synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path)
+        whole = train(*paths, small_config(epochs=2, **kw), log=None)
+        p = tmp_path / "half.dwe"
+        save_checkpoint(train(*paths, small_config(epochs=1, **kw), log=None), p)
+        before = p.read_bytes()
+        resumed = train(*paths, small_config(epochs=1, **kw), resume=p, log=None)
+        assert p.read_bytes() == before
+        assert (resumed.epoch, resumed.step) == (whole.epoch, whole.step)
+        assert len(resumed.epoch_mean_losses) == 1
+        for a, b in zip(trained_arrays(resumed), trained_arrays(whole), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_resume_reads_corpus_only(self, synth_data, trained, tmp_path):
         # the n-gram dictionary and glyphs come from the checkpoint, so a
@@ -262,10 +290,9 @@ class TestTrain:
         save_checkpoint(trained, p)
         missing = tmp_path / "missing"
         cfg = small_config(epochs=1)
-        got = train(synth_data.corpus_path, missing, missing, cfg,
-                    resume=load_checkpoint(p), log=None)
+        got = train(synth_data.corpus_path, missing, missing, cfg, resume=p, log=None)
         want = train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
-                     cfg, resume=load_checkpoint(p), log=None)
+                     cfg, resume=p, log=None)
         assert got.epoch == trained.epoch + 1
         assert dump_checkpoint(got) == dump_checkpoint(want)
 
@@ -508,7 +535,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("eps", -1.0), ("eps", 0.0),
         ("eps", float("nan")), ("subsample", -0.5), ("subsample", float("nan")),
-        ("subsample", float("inf"))])
+        ("subsample", float("inf")), ("threads", 0), ("threads", -3)])
     def test_rejects_values_that_cannot_train(self, field, value, tmp_path):
         cfg = replace(small_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
