@@ -24,6 +24,7 @@ no block of S is larger than C.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ def log_sigmoid(x):
 
 
 CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds the im2col buffers
+ADAGRAD_BLOCK = 128 * 300  # floats per pass of adagrad_step_rows: 128 rows at dim 300
 
 
 def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -282,24 +284,45 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
     """In-place ascent step: acc += grad^2; param += lr*grad/(sqrt(acc)+eps)."""
     if param.shape != grad.shape or param.shape != accumulator.shape:
         raise ValueError("shape mismatch in adagrad_step")
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     accumulator += grad * grad
     param += lr * grad / (np.sqrt(accumulator) + eps)
 
 
 def adagrad_step_rows(param: np.ndarray, accumulator: np.ndarray, ids: np.ndarray,
                       grad_rows: np.ndarray, lr: float, eps: float = 1e-8) -> None:
-    """Sparse row-wise variant; ids must be unique."""
-    if len(ids) == 0:
-        return
-    # the accumulator rows are read once; acc and step are updated in place
-    acc = accumulator[ids]
-    step = np.multiply(grad_rows, grad_rows)
-    acc += step
-    accumulator[ids] = acc
-    np.sqrt(acc, out=acc)
-    acc += eps
-    np.multiply(lr, grad_rows, out=step)
-    step /= acc
-    param[ids] += step                    # lr * g / (sqrt(acc) + eps)
+    """adagrad_step on rows ids of param and accumulator, grad_rows[k] being
+    the gradient of row ids[k]. ids must be strictly increasing, as np.unique
+    returns them: with a repeated id the row assignment would keep only one of
+    its updates.
+
+    The update runs on blocks of consecutive ids, ADAGRAD_BLOCK floats each,
+    so that its temporaries stay in cache; over all of a step's rows at once
+    (about 13 000 x 300 at dim 300) every elementwise pass would go to memory.
+    A block counts floats, not rows, so that narrow tables do not pay for many
+    small blocks. Every op is elementwise per row, so the result does not
+    depend on the block size.
+    """
+    if accumulator.shape != param.shape:
+        raise ValueError("shape mismatch in adagrad_step_rows")
+    if grad_rows.shape != (len(ids), param.shape[1]):
+        raise ValueError(f"grad_rows has shape {grad_rows.shape}, "
+                         f"expected {(len(ids), param.shape[1])}")
+    if (ids[1:] <= ids[:-1]).any():
+        raise ValueError("ids must be strictly increasing")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+    rows = max(1, ADAGRAD_BLOCK // param.shape[1])
+    for lo in range(0, len(ids), rows):
+        i, g = ids[lo:lo + rows], grad_rows[lo:lo + rows]
+        # the accumulator rows are read once; acc and step are updated in place
+        acc = accumulator[i]
+        step = np.multiply(g, g)
+        acc += step
+        accumulator[i] = acc
+        np.sqrt(acc, out=acc)
+        acc += eps
+        np.multiply(lr, g, out=step)
+        step /= acc
+        param[i] += step                  # lr * g / (sqrt(acc) + eps)

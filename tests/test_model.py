@@ -5,10 +5,11 @@ import pytest
 
 from dwe.corpus import Vocab
 from dwe.glyph_cnn import cnn_forward_batch, cnn_init
-from dwe.model import (DweModel, adagrad_step, adagrad_step_rows, init_tables,
-                       log_sigmoid, sigmoid)
+from dwe.model import (ADAGRAD_BLOCK, DweModel, adagrad_step, adagrad_step_rows,
+                       init_tables, log_sigmoid, sigmoid)
 from dwe.morphology import build_ngram_dict
-from helpers import check_grad_tensor, make_micro_model, with_char_ngrams
+from helpers import (check_grad_tensor, make_micro_model, sgns_reference_adagrad,
+                     with_char_ngrams)
 
 
 class TestLogSigmoid:
@@ -266,6 +267,55 @@ class TestAdagrad:
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             adagrad_step(np.zeros(1), np.zeros(1), np.zeros(1), lr=0.0)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0])
+    def test_non_finite_lr_leaves_state(self, lr):
+        p, acc = np.ones(3), np.full(3, 2.0)
+        with pytest.raises(ValueError, match="lr"):
+            adagrad_step(p, np.ones(3), acc, lr=lr)
+        np.testing.assert_array_equal(p, np.ones(3))
+        np.testing.assert_array_equal(acc, np.full(3, 2.0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [300, 1000, ADAGRAD_BLOCK + 1])
+    @pytest.mark.parametrize("count", ["0", "1", "B-1", "B", "B+1", "3B+5"])
+    def test_rows_equal_one_pass(self, count, d, dtype):
+        """The blocked update equals the one-pass formula on the gathered rows
+        bit for bit, across block boundaries; other rows keep their bytes.
+        B is the rows per block at width d: the widths give a block of many
+        rows, one that is not a whole number of rows, and a block of one row."""
+        b = max(1, ADAGRAD_BLOCK // d)
+        n = {"0": 0, "1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "3B+5": 3 * b + 5}[count]
+        rng = np.random.default_rng([n, d])
+        rows, lr, eps = 4 * b + 7, 0.05, 1e-8
+        ids = np.sort(rng.choice(rows, n, replace=False))
+        param = rng.standard_normal((rows, d)).astype(dtype)
+        acc = rng.uniform(0.0, 2.0, (rows, d)).astype(dtype)
+        grad = rng.standard_normal((n, d)).astype(dtype)
+        ref_p, ref_acc = param[ids], acc[ids]
+        sgns_reference_adagrad(ref_p, grad, ref_acc, lr, eps)
+        rest = np.setdiff1d(np.arange(rows), ids)
+        rest_p, rest_acc = param[rest].tobytes(), acc[rest].tobytes()
+        adagrad_step_rows(param, acc, ids, grad, lr, eps)
+        np.testing.assert_array_equal(param[ids], ref_p)
+        np.testing.assert_array_equal(acc[ids], ref_acc)
+        assert param[rest].tobytes() == rest_p and acc[rest].tobytes() == rest_acc
+
+    @pytest.mark.parametrize("ids, grad_shape, acc_shape, lr", [
+        ([1, 1], (2, 3), (4, 3), 0.05),           # duplicate ids
+        ([2, 1], (2, 3), (4, 3), 0.05),           # unsorted ids
+        ([1, 2], (1, 3), (4, 3), 0.05),           # one gradient row for two ids
+        ([1, 2], (2, 3), (4, 2), 0.05),           # accumulator of another shape
+        ([1, 2], (2, 3), (4, 3), math.nan),
+        ([1, 2], (2, 3), (4, 3), math.inf),
+        ([1, 2], (2, 3), (4, 3), 0.0),
+    ], ids=["duplicate", "unsorted", "grad-shape", "acc-shape", "lr-nan", "lr-inf", "lr-0"])
+    def test_rows_reject_bad_arguments(self, ids, grad_shape, acc_shape, lr):
+        param, acc = np.ones((4, 3)), np.full(acc_shape, 2.0)
+        with pytest.raises(ValueError):
+            adagrad_step_rows(param, acc, np.array(ids), np.ones(grad_shape), lr)
+        np.testing.assert_array_equal(param, np.ones((4, 3)))
+        np.testing.assert_array_equal(acc, np.full(acc_shape, 2.0))
 
 
 def test_init_tables_convention():
