@@ -90,7 +90,6 @@ class NegativeSampler:
         weights = counts ** alpha
         self.probs = weights / weights.sum()
         self.cumulative = np.cumsum(self.probs)
-        self.alpha = alpha
 
     def draw_batch(self, k: int, excludes: np.ndarray, key) -> np.ndarray:
         """(len(excludes), k) draws from `np.random.default_rng(key)`, row i

@@ -107,7 +107,6 @@ class Evaluator:
     def __init__(self, ckpt: Checkpoint, which: str = "composed"):
         if which not in ("composed", "word_id"):
             raise ValueError(f"which must be 'composed' or 'word_id', got {which!r}")
-        self.which = which
         self.vocab = ckpt.vocab
         self.model = m = ckpt.model()
         self._char_feats = m.char_features().astype(np.float64)

@@ -69,7 +69,6 @@ class TrainingConfig:
     use_ngrams: bool = True
     use_glyphs: bool = True
     subsample: float = 0.0  # 0 disables frequent-word subsampling
-    dtype: str = "float32"
 
     def validate(self) -> None:
         if self.dim < 1 or self.batch_size < 1 or self.window < 1:
@@ -90,16 +89,11 @@ class TrainingConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.mode == "deterministic" and self.threads > 1:
             raise ValueError("deterministic mode trains one thread; use hogwild for more")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
     def to_lines(self) -> list[str]:
-        return [f"{f.name}={getattr(self, f.name)}"
-                for f in sorted(fields(self), key=lambda f: f.name)]
+        # Training is float32; v1 files keep the constant dtype line.
+        return sorted([f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+                      + ["dtype=float32"])
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "TrainingConfig":
@@ -110,8 +104,10 @@ class TrainingConfig:
             if not line.strip():
                 continue
             key, _, val = line.partition("=")
+            if key == "dtype" and val in ("float32", "float64"):
+                continue  # float64 runs stored `<f4` too: both load as float32
             if key not in types:
-                raise CheckpointError(f"unknown config key {key!r}")
+                raise CheckpointError(f"unknown config line {line!r}")
             cur = getattr(defaults, key)
             if isinstance(cur, bool):
                 kwargs[key] = {"True": True, "False": False}[val]
@@ -162,7 +158,7 @@ class Checkpoint:
 
 
 def _check_resumable(old: TrainingConfig, new: TrainingConfig) -> None:
-    for key in ("dim", "n_min", "n_max", "dtype"):
+    for key in ("dim", "n_min", "n_max"):
         if getattr(old, key) != getattr(new, key):
             raise ConfigMismatchError(
                 f"checkpoint has {key}={getattr(old, key)}, requested {getattr(new, key)}")
@@ -171,9 +167,8 @@ def _check_resumable(old: TrainingConfig, new: TrainingConfig) -> None:
 def init_checkpoint(vocab: Vocab, ngram_dict: StrokeNgramDict,
                     glyphs: dict[str, np.ndarray], config: TrainingConfig) -> Checkpoint:
     config.validate()
-    dtype = config.np_dtype
-    tables = init_tables(len(vocab), len(ngram_dict), config.dim, config.seed, dtype)
-    cnn = cnn_init(config.seed + 1, config.dim, dtype)
+    tables = init_tables(len(vocab), len(ngram_dict), config.dim, config.seed)
+    cnn = cnn_init(config.seed + 1, config.dim)
     return Checkpoint(config, vocab, ngram_dict, glyphs, tables, cnn,
                       Accumulators.zeros(tables, cnn))
 
@@ -445,7 +440,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(str(exc)) from exc
 
         # Shape-only stand-ins, replaced by the arrays read below.
-        d, dtype = config.dim, config.np_dtype
+        d = config.dim
         rows = [np.broadcast_to(np.float32(0), (n, d))
                 for n in (len(vocab), len(vocab), len(ngram_dict))]
         cnn = cnn_init(0, d)
@@ -461,7 +456,7 @@ def load_checkpoint(path) -> Checkpoint:
                 arr = np.empty(getattr(owner, attr).shape, "<f4")
                 if fh.readinto(arr) != arr.nbytes:
                     raise CheckpointError(f"{name}: truncated section payload")
-                setattr(owner, attr, arr.astype(dtype, copy=False))
+                setattr(owner, attr, arr)
 
         ckpt.epoch, ckpt.step = text("counters", _parse_counters)
         if fh.tell() != end:
@@ -473,6 +468,8 @@ def _parse_vocab(lines: list[str]) -> Vocab:
     words, counts = [], []
     for line in lines[1:]:
         w, _, c = line.partition("\t")
+        if w.split() != [w]:  # `read_sentences` never yields such a token
+            raise ValueError(f"word {w!r} is empty or holds whitespace")
         words.append(w)
         counts.append(int(c))
     vocab = Vocab(words, np.array(counts, dtype=np.int64), int(lines[0].partition("=")[2]))
@@ -480,6 +477,8 @@ def _parse_vocab(lines: list[str]) -> Vocab:
         raise ValueError("duplicate word")
     if (vocab.counts < 1).any():
         raise ValueError("word count below 1")
+    if vocab.total_tokens < vocab.counts.sum():
+        raise ValueError(f"total_tokens={vocab.total_tokens} is below the sum of the counts")
     return vocab
 
 

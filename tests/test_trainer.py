@@ -27,10 +27,10 @@ def small_config(**kw):
     return TrainingConfig(**base)
 
 
-def handmade_checkpoint(dtype):
-    """A checkpoint built without randomness: arange-filled arrays, two
-    glyphs, a character with no n-grams and two skipped characters."""
-    cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3, dtype=dtype)
+def handmade_checkpoint():
+    """A checkpoint built without randomness: arange-filled float32 arrays,
+    two glyphs, a character with no n-grams and two skipped characters."""
+    cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3)
     vocab = Vocab(["中国", "人", "日本"], np.array([7, 4, 2]), 13)
     ngram_dict = StrokeNgramDict({(0, 2, 5): 0, (2, 5, 33): 1, (0, 2, 5, 33): 2},
                                  {"中": [0, 1, 2], "国": [2], "人": []}, 3, 4, ["日", "本"])
@@ -40,7 +40,7 @@ def handmade_checkpoint(dtype):
 
     def filled(shape):
         n = int(np.prod(shape))
-        arr = (np.arange(start[0], start[0] + n) / 8).reshape(shape).astype(dtype)
+        arr = (np.arange(start[0], start[0] + n) / 8).reshape(shape).astype(np.float32)
         start[0] += n
         return arr
 
@@ -239,7 +239,7 @@ class TestTrain:
         assert (negatives[:n] == expected).all()
 
     def test_apply_grads_updates_cnn_tensors_in_place(self):
-        ckpt = handmade_checkpoint("float64")
+        ckpt = handmade_checkpoint()
         lr, eps, g = 0.1, 1e-8, 0.5
         no_rows = (np.zeros(0, np.int64), np.zeros((0, ckpt.config.dim)))
         grads = Grads(*no_rows, *no_rows, *no_rows,
@@ -353,20 +353,49 @@ class TestCheckpointIO:
             load_checkpoint(p)
         assert run(["nn", "--model", str(p), "--word", trained.vocab.words[0]]) == 2
 
+    # Every vocab word is a token of `read_sentences`, so none is empty or
+    # holds whitespace, and total_tokens counts every token read.
+    @pytest.mark.parametrize("edit", [
+        lambda payload: payload.replace("中国\t".encode(), "中 国\t".encode()),
+        lambda payload: payload.replace("中国\t".encode(), "中\u3000国\t".encode()),
+        lambda payload: payload.replace("人\t".encode(), b"\t"),
+        lambda payload: payload.replace(b"total_tokens=13", b"total_tokens=-5"),
+        lambda payload: payload.replace(b"total_tokens=13", b"total_tokens=12"),
+    ], ids=["space-in-word", "ideographic-space-in-word", "empty-word",
+            "negative-total-tokens", "total-tokens-below-counts"])
+    def test_vocab_training_cannot_produce(self, edit, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint())
+        payloads = split_sections(blob)
+        edited = edit(payloads[1])
+        assert edited != payloads[1]
+        payloads[1] = edited
+        p, out = tmp_path / "v.dwe", tmp_path / "v.txt"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="bad vocab section"):
+            load_checkpoint(p)
+        assert run(["export", "--model", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
 
-    # The v1 byte layout, pinned as the SHA-256 of each handmade checkpoint.
+    # The v1 byte layout, pinned as the SHA-256 of the handmade checkpoint.
+    # A v1 file from a float64 run differs only in its config's dtype line;
+    # its tables are `<f4` too, so it loads as float32 with no loss.
     @pytest.mark.parametrize("dtype, digest", [
         ("float32", "f3ddfbc1a8d691488d914f180b25cd73e5d03d41dd440b3f2b5ab7ed1c39bc35"),
         ("float64", "12d879c97fb3267d0dea3090a8ebda240cbfde6a6952804edb1d01d9355a36ca"),
     ])
     def test_format_pinned(self, dtype, digest, tmp_path):
-        blob = dump_checkpoint(handmade_checkpoint(dtype))
+        ckpt = handmade_checkpoint()
+        current = dump_checkpoint(ckpt)
+        blob = current.replace(b"\ndtype=float32\n", f"\ndtype={dtype}\n".encode())
         assert hashlib.sha256(blob).hexdigest() == digest
         p = tmp_path / "m.dwe"
         p.write_bytes(blob)
         back = load_checkpoint(p)
-        assert back.tables.ngram_vecs.dtype == np.dtype(dtype)
-        assert dump_checkpoint(back) == blob
+        assert back.config == ckpt.config
+        for a, b in zip(trained_arrays(back), trained_arrays(ckpt), strict=True):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+        assert dump_checkpoint(back) == current
 
     @pytest.mark.parametrize("delta", [4, -4])
     @pytest.mark.parametrize("section", [4, 5, 6])  # tables, CNN, accumulators
@@ -405,7 +434,7 @@ class TestCheckpointIO:
 
     def test_hogwild_glyph_config_still_loads(self, tmp_path, capsys):
         # checkpoints written by glyph-channel hogwild runs stay readable
-        ckpt = handmade_checkpoint("float32")
+        ckpt = handmade_checkpoint()
         ckpt.config = replace(ckpt.config, mode="hogwild", threads=2)
         blob = dump_checkpoint(ckpt)
         config = split_sections(blob)[0].decode().splitlines()
@@ -431,12 +460,13 @@ class TestCheckpointIO:
         (1, lambda payload: payload.replace("日本\t2".encode(), "日本\t-3".encode())),
         (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n0,2,5\n")),
         (7, lambda payload: b"epoch=-1\nstep=17\n"),
+        (0, lambda payload: payload.replace(b"dtype=float32", b"dtype=float16")),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
-            "negative-count", "duplicate-ngram", "negative-epoch"])
+            "negative-count", "duplicate-ngram", "negative-epoch", "float16-dtype"])
     def test_text_section_errors(self, section, edit, tmp_path):
-        blob = dump_checkpoint(handmade_checkpoint("float32"))
+        blob = dump_checkpoint(handmade_checkpoint())
         payloads = split_sections(blob)
         payloads[section] = edit(payloads[section])
         p = tmp_path / "x.dwe"
@@ -540,7 +570,7 @@ class TestConfig:
         cfg = replace(small_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
             cfg.validate()
-        ckpt = handmade_checkpoint("float32")
+        ckpt = handmade_checkpoint()
         ckpt.config = replace(ckpt.config, **{field: value})
         p = tmp_path / "x.dwe"
         save_checkpoint(ckpt, p)
