@@ -49,6 +49,7 @@ def log_sigmoid(x):
 
 CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds the im2col buffers
 ADAGRAD_BLOCK = 128 * 300  # floats per pass of adagrad_step_rows: 128 rows at dim 300
+ADAGRAD_EPS = 1e-8  # Adagrad's smoothing term; every checkpoint's config records it
 
 
 def _csr(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +281,7 @@ class DweModel:
 # -- adagrad -------------------------------------------------------------
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
-                 lr: float, eps: float = 1e-8) -> None:
+                 lr: float, eps: float = ADAGRAD_EPS) -> None:
     """In-place ascent step: acc += grad^2; param += lr*grad/(sqrt(acc)+eps)."""
     if param.shape != grad.shape or param.shape != accumulator.shape:
         raise ValueError("shape mismatch in adagrad_step")
@@ -291,7 +292,7 @@ def adagrad_step(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
 
 
 def adagrad_step_rows(param: np.ndarray, accumulator: np.ndarray, ids: np.ndarray,
-                      grad_rows: np.ndarray, lr: float, eps: float = 1e-8) -> None:
+                      grad_rows: np.ndarray, lr: float, eps: float = ADAGRAD_EPS) -> None:
     """adagrad_step on rows ids of param and accumulator, grad_rows[k] being
     the gradient of row ids[k]. ids must be strictly increasing, as np.unique
     returns them: with a repeated id the row assignment would keep only one of

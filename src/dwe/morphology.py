@@ -72,22 +72,16 @@ def extract_ngrams(codes: list[int] | tuple[int, ...], n_min: int, n_max: int) -
 
 @dataclass
 class StrokeNgramDict:
-    """The n-gram dictionary: global n-gram ids plus per-character id sets."""
-    ngram_ids: dict[tuple[int, ...], int]
+    """The n-gram dictionary. `ngrams[i]` is the boundary-marked n-gram with
+    id i, `per_char[c]` the distinct ids of character c's n-grams, and
+    `skipped` the observed characters without stroke data. The n-gram
+    lengths are the training config's `n_min` and `n_max`."""
+    ngrams: list[tuple[int, ...]]
     per_char: dict[str, list[int]]
-    n_min: int
-    n_max: int
-    skipped: list[str] = field(default_factory=list)  # observed chars without stroke data
+    skipped: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.ngram_ids)
-
-    @property
-    def ngrams(self) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = [()] * len(self.ngram_ids)
-        for ng, i in self.ngram_ids.items():
-            out[i] = ng
-        return out
+        return len(self.ngrams)
 
 
 def build_ngram_dict(
@@ -116,15 +110,18 @@ def build_ngram_dict(
                 ngram_ids[ng] = len(ngram_ids)
             ids.append(ngram_ids[ng])
         per_char[ch] = ids
-    return StrokeNgramDict(ngram_ids, per_char, n_min, n_max, skipped)
+    return StrokeNgramDict(list(ngram_ids), per_char, skipped)
 
 
 def load_stroke_table(path) -> dict[str, list[int]]:
     """Parse a stroke table file: `CHAR<TAB>c1,c2,...` per line, `#` comments."""
     table: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise StrokeTableError(f"{path}:{lineno}: not UTF-8") from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")

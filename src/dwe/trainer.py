@@ -28,8 +28,8 @@ import numpy as np
 
 from .corpus import NegativeSampler, Vocab, build_vocab, context_pairs, read_sentences
 from .glyph_cnn import CnnParams, cnn_init
-from .model import (DweModel, EmbeddingTables, adagrad_step, adagrad_step_rows,
-                    init_tables)
+from .model import (ADAGRAD_EPS, DweModel, EmbeddingTables, adagrad_step,
+                    adagrad_step_rows, init_tables)
 from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict,
                          dump_glyph_records, is_cjk, load_glyph_pack, load_stroke_table,
                          parse_glyph_records)
@@ -65,7 +65,6 @@ class TrainingConfig:
     seed: int = 1
     mode: str = "deterministic"  # or "hogwild"
     threads: int = 1
-    eps: float = 1e-8
     use_ngrams: bool = True
     use_glyphs: bool = True
     subsample: float = 0.0  # 0 disables frequent-word subsampling
@@ -73,8 +72,8 @@ class TrainingConfig:
     def validate(self) -> None:
         if self.dim < 1 or self.batch_size < 1 or self.window < 1:
             raise ValueError("dim, batch_size, window must be positive")
-        if not (0 < self.lr < math.inf and 0 < self.eps < math.inf):
-            raise ValueError(f"lr and eps must be finite and positive, got {self.lr}, {self.eps}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0 <= self.subsample < math.inf:
             raise ValueError(f"subsample must be finite and >= 0, got {self.subsample}")
         if not (1 <= self.n_min <= self.n_max):
@@ -91,32 +90,22 @@ class TrainingConfig:
             raise ValueError("deterministic mode trains one thread; use hogwild for more")
 
     def to_lines(self) -> list[str]:
-        # Training is float32; v1 files keep the constant dtype line.
+        # Training is float32 with a fixed Adagrad eps; v1 files keep both lines.
         return sorted([f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-                      + ["dtype=float32"])
+                      + ["dtype=float32", f"eps={ADAGRAD_EPS}"])
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "TrainingConfig":
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
+        keys = sorted([f.name for f in fields(cls)] + ["dtype", "eps"])
+        kwargs = dict(zip(keys, _values(lines, *keys)))
+        if kwargs.pop("dtype") not in ("float32", "float64"):  # float64 runs stored `<f4` too
+            raise ValueError("dtype must be float32 or float64")
+        if kwargs.pop("eps") != str(ADAGRAD_EPS):
+            raise ValueError(f"eps must be {ADAGRAD_EPS}")
         defaults = cls()
-        for line in lines:
-            if not line.strip():
-                continue
-            key, _, val = line.partition("=")
-            if key == "dtype" and val in ("float32", "float64"):
-                continue  # float64 runs stored `<f4` too: both load as float32
-            if key not in types:
-                raise CheckpointError(f"unknown config line {line!r}")
-            cur = getattr(defaults, key)
-            if isinstance(cur, bool):
-                kwargs[key] = {"True": True, "False": False}[val]
-            elif isinstance(cur, int):
-                kwargs[key] = int(val)
-            elif isinstance(cur, float):
-                kwargs[key] = float(val)
-            else:
-                kwargs[key] = val
+        for key, val in kwargs.items():
+            kind = type(getattr(defaults, key))
+            kwargs[key] = {"True": True, "False": False}[val] if kind is bool else kind(val)
         config = cls(**kwargs)
         config.validate()
         return config
@@ -173,18 +162,16 @@ def init_checkpoint(vocab: Vocab, ngram_dict: StrokeNgramDict,
                       Accumulators.zeros(tables, cnn))
 
 
-def apply_grads(ckpt: Checkpoint, grads, lr: float, eps: float) -> None:
+def apply_grads(ckpt: Checkpoint, grads, lr: float) -> None:
     """Adagrad, in place, on the touched embedding rows and on the CNN."""
     t, a = ckpt.tables, ckpt.accum
-    adagrad_step_rows(t.word_id_vecs, a.word_id, grads.word_id_ids,
-                      grads.word_id_rows, lr, eps)
-    adagrad_step_rows(t.context_vecs, a.context, grads.context_ids,
-                      grads.context_rows, lr, eps)
-    adagrad_step_rows(t.ngram_vecs, a.ngram, grads.ngram_ids, grads.ngram_rows, lr, eps)
+    adagrad_step_rows(t.word_id_vecs, a.word_id, grads.word_id_ids, grads.word_id_rows, lr)
+    adagrad_step_rows(t.context_vecs, a.context, grads.context_ids, grads.context_rows, lr)
+    adagrad_step_rows(t.ngram_vecs, a.ngram, grads.ngram_ids, grads.ngram_rows, lr)
     if grads.cnn is not None:
         for (_, p), (_, g), (_, acc) in zip(ckpt.cnn.tensors(), grads.cnn.tensors(),
                                             a.cnn.tensors()):
-            adagrad_step(p, g, acc, lr, eps)
+            adagrad_step(p, g, acc, lr)
 
 
 def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
@@ -251,7 +238,7 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch={ckpt.epoch} step={ckpt.step}")
-                apply_grads(ckpt, grads, cfg.lr, cfg.eps)
+                apply_grads(ckpt, grads, cfg.lr)
                 with lock:
                     totals[0] += loss
                     totals[1] += len(batch[0])
@@ -357,10 +344,10 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
     def text(lines: list[str]) -> bytes:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
-    nd = ckpt.ngram_dict
+    nd, cfg = ckpt.ngram_dict, ckpt.config
     vocab = [f"total_tokens={ckpt.vocab.total_tokens}"]
     vocab += [f"{w}\t{int(c)}" for w, c in zip(ckpt.vocab.words, ckpt.vocab.counts)]
-    ngrams = [f"n_min={nd.n_min} n_max={nd.n_max}", f"ngrams={len(nd)}"]
+    ngrams = [f"n_min={cfg.n_min} n_max={cfg.n_max}", f"ngrams={len(nd)}"]
     ngrams += [",".join(map(str, ng)) for ng in nd.ngrams]
     ngrams.append(f"chars={len(nd.per_char)}")
     ngrams += [f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)]
@@ -368,7 +355,7 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
     ngrams += sorted(nd.skipped)
 
     fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
-    write_section(text(ckpt.config.to_lines()))
+    write_section(text(cfg.to_lines()))
     write_section(text(vocab))
     write_section(text(ngrams))
     write_section(dump_glyph_records(ckpt.glyphs))
@@ -433,7 +420,7 @@ def load_checkpoint(path) -> Checkpoint:
 
         config = text("config", TrainingConfig.from_lines)
         vocab = text("vocab", _parse_vocab)
-        ngram_dict = text("n-gram dictionary", _parse_ngram_dict)
+        ngram_dict = text("n-gram dictionary", lambda lines: _parse_ngram_dict(lines, config))
         try:
             glyphs = parse_glyph_records(fh.read(section_size()), f"{name}: glyph section")
         except GlyphPackError as exc:
@@ -464,7 +451,17 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
+def _values(lines: list[str], *keys: str) -> list[str]:
+    """The values of `lines`, which must be `key=value` lines naming exactly
+    `keys`, each once and in that order."""
+    pairs = [line.split("=", 1) for line in lines]
+    if [pair[0] for pair in pairs] != list(keys) or any(len(pair) < 2 for pair in pairs):
+        raise ValueError(f"expected {' '.join(k + '=' for k in keys)} once each, in that order")
+    return [value for _, value in pairs]
+
+
 def _parse_vocab(lines: list[str]) -> Vocab:
+    (total_tokens,) = _values(lines[:1], "total_tokens")
     words, counts = [], []
     for line in lines[1:]:
         w, _, c = line.partition("\t")
@@ -472,7 +469,7 @@ def _parse_vocab(lines: list[str]) -> Vocab:
             raise ValueError(f"word {w!r} is empty or holds whitespace")
         words.append(w)
         counts.append(int(c))
-    vocab = Vocab(words, np.array(counts, dtype=np.int64), int(lines[0].partition("=")[2]))
+    vocab = Vocab(words, np.array(counts, dtype=np.int64), int(total_tokens))
     if len(vocab.id_of) != len(words):
         raise ValueError("duplicate word")
     if (vocab.counts < 1).any():
@@ -482,14 +479,15 @@ def _parse_vocab(lines: list[str]) -> Vocab:
     return vocab
 
 
-def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
-    head = dict(part.split("=") for part in lines[0].split())
-    n_ngrams = int(lines[1].partition("=")[2])
-    ngram_ids = {tuple(int(s) for s in lines[2 + i].split(",")): i for i in range(n_ngrams)}
-    if len(ngram_ids) != n_ngrams:
-        raise ValueError("duplicate n-gram")
+def _parse_ngram_dict(lines: list[str], config: TrainingConfig) -> StrokeNgramDict:
+    if _values(lines[0].split(" "), "n_min", "n_max") != [str(config.n_min), str(config.n_max)]:
+        raise ValueError(f"header {lines[0]!r} differs from the config's n-gram lengths")
+    (n_ngrams,) = map(int, _values(lines[1:2], "ngrams"))
+    ngrams = [tuple(map(int, line.split(","))) for line in lines[2:2 + n_ngrams]]
+    if len(set(ngrams)) != n_ngrams:
+        raise ValueError(f"expected {n_ngrams} distinct n-grams")
     pos = 2 + n_ngrams
-    n_chars = int(lines[pos].partition("=")[2])
+    (n_chars,) = map(int, _values(lines[pos:pos + 1], "chars"))
     per_char = {}
     for line in lines[pos + 1:pos + 1 + n_chars]:
         ch, _, ids = line.partition("\t")
@@ -499,15 +497,18 @@ def _parse_ngram_dict(lines: list[str]) -> StrokeNgramDict:
         if len(set(got)) != len(got) or not all(0 <= i < n_ngrams for i in got):
             raise ValueError(f"character {ch!r}: n-gram ids not distinct "
                              f"or not in [0, {n_ngrams})")
+    if len(per_char) != n_chars:
+        raise ValueError(f"expected {n_chars} characters")
     pos += 1 + n_chars
-    n_skip = int(lines[pos].partition("=")[2])
-    return StrokeNgramDict(ngram_ids, per_char, int(head["n_min"]), int(head["n_max"]),
-                           lines[pos + 1:pos + 1 + n_skip])
+    (n_skip,) = map(int, _values(lines[pos:pos + 1], "skipped"))
+    skipped = lines[pos + 1:]
+    if len(skipped) != n_skip:
+        raise ValueError(f"expected {n_skip} skipped characters, got {len(skipped)}")
+    return StrokeNgramDict(ngrams, per_char, skipped)
 
 
 def _parse_counters(lines: list[str]) -> tuple[int, int]:
-    counters = dict(line.split("=") for line in lines)
-    epoch, step = int(counters["epoch"]), int(counters["step"])
+    epoch, step = map(int, _values(lines, "epoch", "step"))
     if epoch < 0 or step < 0:
         raise ValueError(f"negative counter: epoch={epoch} step={step}")
     return epoch, step

@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 
 from dwe.corpus import Vocab
-from dwe.glyph_cnn import cnn_init
-from dwe.model import DweModel, init_tables
-from dwe.morphology import build_ngram_dict
+from dwe.glyph_cnn import CnnParams, cnn_init
+from dwe.model import DweModel, EmbeddingTables, init_tables
+from dwe.morphology import StrokeNgramDict, build_ngram_dict
+from dwe.trainer import Accumulators, Checkpoint, TrainingConfig
 
 CJK_BASE = 0x4E00
 
@@ -139,3 +140,31 @@ def brute_3cosmul(words, matrix, a, b, h, eps=0.001):
         if s > best_score:
             best, best_score = w, s
     return best
+
+
+def handmade_checkpoint():
+    """A checkpoint built without randomness: arange-filled float32 arrays,
+    two glyphs, a character with no n-grams and two skipped characters."""
+    cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3)
+    vocab = Vocab(["中国", "人", "日本"], np.array([7, 4, 2]), 13)
+    ngram_dict = StrokeNgramDict([(0, 2, 5), (2, 5, 33), (0, 2, 5, 33)],
+                                 {"中": [0, 1, 2], "国": [2], "人": []}, ["日", "本"])
+    glyphs = {ch: (np.arange(784).reshape(28, 28) % k == 0).astype(np.uint8)
+              for ch, k in (("中", 3), ("国", 5))}
+    start = [0]
+
+    def filled(shape):
+        n = int(np.prod(shape))
+        arr = (np.arange(start[0], start[0] + n) / 8).reshape(shape).astype(np.float32)
+        start[0] += n
+        return arr
+
+    def cnn():
+        return CnnParams(*(filled(t.shape) for _, t in cnn_init(0, cfg.dim).tensors()))
+
+    V, G, d = len(vocab), len(ngram_dict), cfg.dim
+    tables = EmbeddingTables(filled((V, d)), filled((V, d)), filled((G, d)))
+    params = cnn()
+    accum = Accumulators(filled((V, d)), filled((V, d)), filled((G, d)), cnn())
+    return Checkpoint(cfg, vocab, ngram_dict, glyphs, tables, params, accum,
+                      epoch=2, step=17)

@@ -49,7 +49,7 @@ class TestExitCodes:
                 "--out", str(tmp_path / "m.dwe"), "--lr", "nan"]
         for extra in ([], ["--resume", missing]):
             assert run(args + extra) == 2
-            assert "lr and eps must be finite" in capsys.readouterr().err
+            assert "lr must be finite" in capsys.readouterr().err
             assert not (tmp_path / "m.dwe").exists()
 
     def test_help_is_0(self, capsys):

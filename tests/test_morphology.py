@@ -90,13 +90,13 @@ class TestNgramDict:
         strokes = {chr(0x4E00 + i): list(rng.integers(1, 33, 5)) for i in range(30)}
         d1 = build_ngram_dict(strokes, set(strokes), 3, 6)
         d2 = build_ngram_dict(strokes, set(strokes), 3, 6)
-        assert d1.ngram_ids == d2.ngram_ids
+        assert d1.ngrams == d2.ngrams
         assert d1.per_char == d2.per_char
 
     def test_ids_dense(self):
         strokes = {"一": [1, 1, 1], "丁": [2, 1]}
         d = build_ngram_dict(strokes, {"一", "丁"}, 1, 3)
-        assert sorted(d.ngram_ids.values()) == list(range(len(d)))
+        assert sorted(set().union(*d.per_char.values())) == list(range(len(d)))
 
     def test_duplicates_within_char_collapse(self):
         # 1,1,1 yields the window (1,) three times but one id
@@ -120,6 +120,12 @@ class TestStrokeTable:
         p = tmp_path / "s.tsv"
         p.write_text("一\t1\n一\t2\n", encoding="utf-8")
         with pytest.raises(StrokeTableError, match=":2"):
+            load_stroke_table(p)
+
+    def test_not_utf8_errors_with_line(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        p.write_bytes("一\t1\n".encode() + b"\xc2\t2\n")
+        with pytest.raises(StrokeTableError, match=":2: not UTF-8"):
             load_stroke_table(p)
 
     def test_code_out_of_range(self, tmp_path):

@@ -11,13 +11,14 @@ import pytest
 from dwe.cli import run
 from dwe.corpus import NegativeSampler, Vocab, context_pairs
 from dwe.evaluation import Evaluator
-from dwe.glyph_cnn import CnnParams, cnn_init
-from dwe.model import EmbeddingTables, Grads
+from dwe.glyph_cnn import CnnParams
+from dwe.model import ADAGRAD_EPS, Grads
 from dwe.morphology import StrokeNgramDict
-from dwe.trainer import (Accumulators, Checkpoint, CheckpointError, ConfigMismatchError,
-                         TrainingConfig, TrainingDivergedError, _epoch_batches, apply_grads,
-                         dump_checkpoint, export_vectors, init_checkpoint, load_checkpoint,
-                         load_vectors, save_checkpoint, train)
+from dwe.trainer import (CheckpointError, ConfigMismatchError, TrainingConfig,
+                         TrainingDivergedError, _epoch_batches, apply_grads, dump_checkpoint,
+                         export_vectors, init_checkpoint, load_checkpoint, load_vectors,
+                         save_checkpoint, train)
+from helpers import handmade_checkpoint
 
 
 def small_config(**kw):
@@ -25,34 +26,6 @@ def small_config(**kw):
                 window=3, seed=5)
     base.update(kw)
     return TrainingConfig(**base)
-
-
-def handmade_checkpoint():
-    """A checkpoint built without randomness: arange-filled float32 arrays,
-    two glyphs, a character with no n-grams and two skipped characters."""
-    cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3)
-    vocab = Vocab(["中国", "人", "日本"], np.array([7, 4, 2]), 13)
-    ngram_dict = StrokeNgramDict({(0, 2, 5): 0, (2, 5, 33): 1, (0, 2, 5, 33): 2},
-                                 {"中": [0, 1, 2], "国": [2], "人": []}, 3, 4, ["日", "本"])
-    glyphs = {ch: (np.arange(784).reshape(28, 28) % k == 0).astype(np.uint8)
-              for ch, k in (("中", 3), ("国", 5))}
-    start = [0]
-
-    def filled(shape):
-        n = int(np.prod(shape))
-        arr = (np.arange(start[0], start[0] + n) / 8).reshape(shape).astype(np.float32)
-        start[0] += n
-        return arr
-
-    def cnn():
-        return CnnParams(*(filled(t.shape) for _, t in cnn_init(0, cfg.dim).tensors()))
-
-    V, G, d = len(vocab), len(ngram_dict), cfg.dim
-    tables = EmbeddingTables(filled((V, d)), filled((V, d)), filled((G, d)))
-    params = cnn()
-    accum = Accumulators(filled((V, d)), filled((V, d)), filled((G, d)), cnn())
-    return Checkpoint(cfg, vocab, ngram_dict, glyphs, tables, params, accum,
-                      epoch=2, step=17)
 
 
 def train_logged(data, cfg, resume=None):
@@ -240,19 +213,19 @@ class TestTrain:
 
     def test_apply_grads_updates_cnn_tensors_in_place(self):
         ckpt = handmade_checkpoint()
-        lr, eps, g = 0.1, 1e-8, 0.5
+        lr, g = 0.1, 0.5
         no_rows = (np.zeros(0, np.int64), np.zeros((0, ckpt.config.dim)))
         grads = Grads(*no_rows, *no_rows, *no_rows,
                       CnnParams(*(np.full_like(t, g) for _, t in ckpt.cnn.tensors())))
         held = dict(ckpt.cnn.tensors())
         values = {name: t.copy() for name, t in held.items()}
         acc = {name: t + g * g for name, t in ckpt.accum.cnn.tensors()}
-        apply_grads(ckpt, grads, lr, eps)
+        apply_grads(ckpt, grads, lr)
         for name, new in ckpt.cnn.tensors():
             assert new is held[name]
             np.testing.assert_array_equal(getattr(ckpt.accum.cnn, name), acc[name])
-            np.testing.assert_allclose(new, values[name] + lr * g / (np.sqrt(acc[name]) + eps),
-                                       rtol=1e-12)
+            step = lr * g / (np.sqrt(acc[name]) + ADAGRAD_EPS)
+            np.testing.assert_allclose(new, values[name] + step, rtol=1e-12)
 
     def test_resume_config_mismatch(self, synth_data, trained, tmp_path):
         p = tmp_path / "m.dwe"
@@ -309,7 +282,7 @@ class TestCheckpointIO:
         save_checkpoint(trained, p)
         back = load_checkpoint(p)
         assert back.vocab.words == trained.vocab.words
-        assert back.ngram_dict.ngram_ids == trained.ngram_dict.ngram_ids
+        assert back.ngram_dict.ngrams == trained.ngram_dict.ngrams
         assert back.epoch == trained.epoch and back.step == trained.step
         np.testing.assert_array_equal(
             back.tables.word_id_vecs, trained.tables.word_id_vecs)
@@ -461,14 +434,35 @@ class TestCheckpointIO:
         (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n0,2,5\n")),
         (7, lambda payload: b"epoch=-1\nstep=17\n"),
         (0, lambda payload: payload.replace(b"dtype=float32", b"dtype=float16")),
+        # each key=value line once, in its written order, and nothing else
+        (0, lambda payload: payload.replace(b"seed=3\n", b"")),
+        (0, lambda payload: payload + b"seed=9\n"),
+        (0, lambda payload: payload.replace(b"seed=3\n", b"seed=3\n\n")),
+        (0, lambda payload: payload.replace(b"eps=1e-08", b"eps=1e-06")),
+        (1, lambda payload: payload.replace(b"total_tokens=13", b"bogus=13")),
+        (2, lambda payload: payload.replace(b"ngrams=3", b"bogus=3")),
+        (2, lambda payload: payload.replace(b"n_min=3 n_max=4", b"n_min=3 n_max=4 x=1")),
+        (2, lambda payload: payload.replace(b"n_min=3 n_max=4", b"n_min=2 n_max=4")),
+        (2, lambda payload: payload.removesuffix("本\n".encode())),
+        (2, lambda payload: payload + b"junk\n"),
+        (2, lambda payload: payload.replace(b"chars=3", b"chars=-9")),
+        (7, lambda payload: payload + b"epoch=3\n"),
+        (7, lambda payload: payload + b"bogus=1\n"),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
-            "negative-count", "duplicate-ngram", "negative-epoch", "float16-dtype"])
+            "negative-count", "duplicate-ngram", "negative-epoch", "float16-dtype",
+            "config-missing-key", "config-repeated-key", "config-blank-line", "eps-not-1e-08",
+            "vocab-unknown-key", "ngram-count-unknown-key", "ngram-header-extra-key",
+            "ngram-header-differs-from-config", "skipped-count-above-lines",
+            "line-after-skipped", "negative-char-count", "counters-repeated-key",
+            "counters-unknown-key"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint())
         payloads = split_sections(blob)
-        payloads[section] = edit(payloads[section])
+        edited = edit(payloads[section])
+        assert edited != payloads[section]
+        payloads[section] = edited
         p = tmp_path / "x.dwe"
         p.write_bytes(join_sections(blob, payloads))
         with pytest.raises(CheckpointError, match=r"bad .* section"):
@@ -490,7 +484,7 @@ class TestCheckpointIO:
     def test_save_and_load_memory(self, tmp_path):
         V, G = 1500, 3000
         vocab = Vocab([f"w{i}" for i in range(V)], np.ones(V), V)
-        ngram_dict = StrokeNgramDict({(i,): i for i in range(G)}, {}, 1, 1)
+        ngram_dict = StrokeNgramDict([(i,) for i in range(G)], {})
         ckpt = init_checkpoint(vocab, ngram_dict, {}, TrainingConfig(dim=300))
         p = tmp_path / "m.dwe"
         tracemalloc.start()
@@ -563,9 +557,9 @@ class TestConfig:
             TrainingConfig(mode="deterministic", threads=2).validate()
 
     @pytest.mark.parametrize("field, value", [
-        ("lr", float("nan")), ("lr", float("inf")), ("eps", -1.0), ("eps", 0.0),
-        ("eps", float("nan")), ("subsample", -0.5), ("subsample", float("nan")),
-        ("subsample", float("inf")), ("threads", 0), ("threads", -3)])
+        ("lr", float("nan")), ("lr", float("inf")), ("subsample", -0.5),
+        ("subsample", float("nan")), ("subsample", float("inf")), ("threads", 0),
+        ("threads", -3)])
     def test_rejects_values_that_cannot_train(self, field, value, tmp_path):
         cfg = replace(small_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
