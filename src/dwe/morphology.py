@@ -41,42 +41,39 @@ def is_cjk(codepoint: int | str) -> bool:
     return CJK_LO <= codepoint <= CJK_HI
 
 
-def ngram_str(ngram: tuple[int, ...]) -> str:
-    """Human-readable rendering, e.g. (0, 4, 12, 33) -> '<4-12>'."""
-    parts = []
-    for code in ngram:
-        if code == BOS:
-            parts.append("<")
-        elif code == EOS:
-            parts.append(">")
-        else:
-            parts.append(str(code))
+def ngram_str(label: str) -> str:
+    """Human-readable rendering of an n-gram label, e.g. '0,4,12,33' -> '<4-12>'."""
+    marks = {str(BOS): "<", str(EOS): ">"}
+    parts = [marks.get(code, code) for code in label.split(",")]
     return "-".join(parts).replace("<-", "<").replace("->", ">")
 
 
-def extract_ngrams(codes: list[int] | tuple[int, ...], n_min: int, n_max: int) -> list[tuple[int, ...]]:
+def extract_ngrams(codes: list[int] | tuple[int, ...], n_min: int, n_max: int) -> list[str]:
     """All contiguous n-grams (n_min <= n <= n_max) of the boundary-marked
-    stroke sequence, ordered by n ascending then position ascending.
-    Duplicates are preserved; dictionary construction deduplicates."""
+    stroke sequence, ordered by n ascending then position ascending. Each
+    is its label, the decimal codes joined by commas (e.g. '0,4,12'), as
+    a checkpoint writes it. Duplicates are preserved; dictionary
+    construction deduplicates."""
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     if not codes:
         raise ValueError("empty stroke sequence")
-    marked = (BOS, *codes, EOS)
+    marked = [str(BOS), *map(str, codes), str(EOS)]
     out = []
     for n in range(n_min, n_max + 1):
         for i in range(len(marked) - n + 1):
-            out.append(marked[i:i + n])
+            out.append(",".join(marked[i:i + n]))
     return out
 
 
 @dataclass
 class StrokeNgramDict:
-    """The n-gram dictionary. `ngrams[i]` is the boundary-marked n-gram with
-    id i, `per_char[c]` the distinct ids of character c's n-grams, and
-    `skipped` the observed characters without stroke data. The n-gram
-    lengths are the training config's `n_min` and `n_max`."""
-    ngrams: list[tuple[int, ...]]
+    """The n-gram dictionary. `ngrams[i]` is the label (see `extract_ngrams`)
+    of the boundary-marked n-gram with id i, `per_char[c]` the distinct ids
+    of character c's n-grams, and `skipped` the observed characters without
+    stroke data. The n-gram lengths are the training config's `n_min` and
+    `n_max`."""
+    ngrams: list[str]
     per_char: dict[str, list[int]]
     skipped: list[str] = field(default_factory=list)
 
@@ -92,7 +89,7 @@ def build_ngram_dict(
 ) -> StrokeNgramDict:
     """Scan observed characters (sorted, for deterministic id assignment)
     and collect their deduplicated boundary-marked n-grams."""
-    ngram_ids: dict[tuple[int, ...], int] = {}
+    ngram_ids: dict[str, int] = {}
     per_char: dict[str, list[int]] = {}
     skipped: list[str] = []
     for ch in sorted(observed_chars):
@@ -100,16 +97,8 @@ def build_ngram_dict(
         if codes is None:
             skipped.append(ch)
             continue
-        ids = []
-        seen = set()
-        for ng in extract_ngrams(codes, n_min, n_max):
-            if ng in seen:
-                continue
-            seen.add(ng)
-            if ng not in ngram_ids:
-                ngram_ids[ng] = len(ngram_ids)
-            ids.append(ngram_ids[ng])
-        per_char[ch] = ids
+        per_char[ch] = [ngram_ids.setdefault(ng, len(ngram_ids))
+                        for ng in dict.fromkeys(extract_ngrams(codes, n_min, n_max))]
     return StrokeNgramDict(list(ngram_ids), per_char, skipped)
 
 

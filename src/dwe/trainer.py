@@ -18,6 +18,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import struct
 import sys
 import threading
@@ -96,17 +97,13 @@ class TrainingConfig:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "TrainingConfig":
-        keys = sorted([f.name for f in fields(cls)] + ["dtype", "eps"])
-        kwargs = dict(zip(keys, _values(lines, *keys)))
-        if kwargs.pop("dtype") not in ("float32", "float64"):  # float64 runs stored `<f4` too
-            raise ValueError("dtype must be float32 or float64")
-        if kwargs.pop("eps") != str(ADAGRAD_EPS):
-            raise ValueError(f"eps must be {ADAGRAD_EPS}")
-        defaults = cls()
-        for key, val in kwargs.items():
-            kind = type(getattr(defaults, key))
-            kwargs[key] = {"True": True, "False": False}[val] if kind is bool else kind(val)
-        config = cls(**kwargs)
+        """The config the `key=value` lines give its fields; other lines are
+        ignored (`load_checkpoint` compares them with `to_lines`)."""
+        values = dict(line.split("=", 1) for line in lines)
+        config = cls()
+        for f in fields(cls):
+            val, kind = values[f.name], type(getattr(config, f.name))
+            setattr(config, f.name, val == "True" if kind is bool else kind(val))
         config.validate()
         return config
 
@@ -259,6 +256,11 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
     return totals[0], totals[1]
 
 
+def _cjk_chars(vocab: Vocab) -> set[str]:
+    """The characters the n-gram dictionary holds or skips."""
+    return {c for w in vocab.words for c in w if is_cjk(c)}
+
+
 def train(corpus_path, stroke_table_path, glyph_pack_path,
           config: TrainingConfig, resume=None, log=sys.stderr) -> Checkpoint:
     """Train a new checkpoint, or resume the checkpoint file `resume` with its
@@ -278,7 +280,7 @@ def train(corpus_path, stroke_table_path, glyph_pack_path,
     vocab = build_vocab(tokens, config.min_count)
     stroke_table = load_stroke_table(stroke_table_path)
     glyph_table = load_glyph_pack(glyph_pack_path)
-    observed = {c for w in vocab.words for c in w if is_cjk(c)}
+    observed = _cjk_chars(vocab)
     ngram_dict = build_ngram_dict(stroke_table, observed, config.n_min, config.n_max)
     if ngram_dict.skipped and log is not None:
         print(f"warning: {len(ngram_dict.skipped)} characters lack stroke data",
@@ -325,7 +327,29 @@ def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoin
 # a u64 byte length and its payload, in the order `_write_checkpoint` writes
 # and `load_checkpoint` reads them: config, vocab and n-gram dictionary as
 # UTF-8 lines, the glyph records of a glyph pack, the three `_float_sections`,
-# and the epoch and step counters.
+# and the epoch and step counters. A text section is defined by its writer
+# (`TrainingConfig.to_lines`, `_vocab_lines`, `_ngram_dict_lines` or
+# `_counter_lines`): the reader accepts only the bytes it would write.
+
+def _text(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _vocab_lines(vocab: Vocab) -> list[str]:
+    return [f"total_tokens={vocab.total_tokens}",
+            *(f"{w}\t{int(c)}" for w, c in zip(vocab.words, vocab.counts))]
+
+
+def _ngram_dict_lines(nd: StrokeNgramDict, config: TrainingConfig) -> list[str]:
+    return [f"n_min={config.n_min} n_max={config.n_max}", f"ngrams={len(nd)}", *nd.ngrams,
+            f"chars={len(nd.per_char)}",
+            *(f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)),
+            f"skipped={len(nd.skipped)}", *sorted(nd.skipped)]
+
+
+def _counter_lines(counters: tuple[int, int]) -> list[str]:
+    return [f"epoch={counters[0]}", f"step={counters[1]}"]
+
 
 def _float_sections(ckpt: Checkpoint) -> list[list[tuple[object, str]]]:
     """The tables, CNN and accumulator sections, each a list of the (owner,
@@ -341,30 +365,17 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
     def write_section(payload: bytes) -> None:
         fh.write(struct.pack("<Q", len(payload)) + payload)
 
-    def text(lines: list[str]) -> bytes:
-        return ("\n".join(lines) + "\n").encode("utf-8")
-
-    nd, cfg = ckpt.ngram_dict, ckpt.config
-    vocab = [f"total_tokens={ckpt.vocab.total_tokens}"]
-    vocab += [f"{w}\t{int(c)}" for w, c in zip(ckpt.vocab.words, ckpt.vocab.counts)]
-    ngrams = [f"n_min={cfg.n_min} n_max={cfg.n_max}", f"ngrams={len(nd)}"]
-    ngrams += [",".join(map(str, ng)) for ng in nd.ngrams]
-    ngrams.append(f"chars={len(nd.per_char)}")
-    ngrams += [f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)]
-    ngrams.append(f"skipped={len(nd.skipped)}")
-    ngrams += sorted(nd.skipped)
-
     fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
-    write_section(text(cfg.to_lines()))
-    write_section(text(vocab))
-    write_section(text(ngrams))
+    write_section(_text(ckpt.config.to_lines()))
+    write_section(_text(_vocab_lines(ckpt.vocab)))
+    write_section(_text(_ngram_dict_lines(ckpt.ngram_dict, ckpt.config)))
     write_section(dump_glyph_records(ckpt.glyphs))
     for section in _float_sections(ckpt):
         arrays = [getattr(owner, attr) for owner, attr in section]
         fh.write(struct.pack("<Q", 4 * sum(x.size for x in arrays)))
         for x in arrays:
             fh.write(np.ascontiguousarray(x, "<f4"))
-    write_section(text([f"epoch={ckpt.epoch}", f"step={ckpt.step}"]))
+    write_section(_text(_counter_lines((ckpt.epoch, ckpt.step))))
 
 
 def dump_checkpoint(ckpt: Checkpoint) -> bytes:
@@ -410,21 +421,32 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{name}: truncated section payload")
             return size
 
-        def text(what: str, parse):
-            size = section_size()
+        def read_payload() -> bytes:
+            return fh.read(section_size())
+
+        def text(what: str, payload: bytes, parse, lines_of):
             try:
-                return parse(fh.read(size).decode("utf-8").splitlines())
+                decoded = parse(payload.decode("utf-8").splitlines())
             except (ValueError, IndexError, KeyError) as exc:
                 raise CheckpointError(f"{name}: bad {what} section: "
                                       f"{type(exc).__name__}: {exc}") from exc
+            if _text(lines_of(decoded)) != payload:
+                raise CheckpointError(f"{name}: bad {what} section: not as its writer writes it")
+            return decoded
 
-        config = text("config", TrainingConfig.from_lines)
-        vocab = text("vocab", _parse_vocab)
-        ngram_dict = text("n-gram dictionary", lambda lines: _parse_ngram_dict(lines, config))
+        # A float64 run's v1 file differs only in this line: its tables are `<f4` too.
+        config = text("config", read_payload().replace(b"\ndtype=float64\n", b"\ndtype=float32\n"),
+                      TrainingConfig.from_lines, TrainingConfig.to_lines)
+        vocab = text("vocab", read_payload(), _parse_vocab, _vocab_lines)
+        ngram_dict = text("n-gram dictionary", read_payload(),
+                          lambda lines: _parse_ngram_dict(lines, config, vocab),
+                          lambda nd: _ngram_dict_lines(nd, config))
         try:
-            glyphs = parse_glyph_records(fh.read(section_size()), f"{name}: glyph section")
+            glyphs = parse_glyph_records(read_payload(), f"{name}: glyph section")
         except GlyphPackError as exc:
             raise CheckpointError(str(exc)) from exc
+        if list(glyphs) != sorted(glyphs):
+            raise CheckpointError(f"{name}: glyph section: codepoints not in ascending order")
 
         # Shape-only stand-ins, replaced by the arrays read below.
         d = config.dim
@@ -445,23 +467,13 @@ def load_checkpoint(path) -> Checkpoint:
                     raise CheckpointError(f"{name}: truncated section payload")
                 setattr(owner, attr, arr)
 
-        ckpt.epoch, ckpt.step = text("counters", _parse_counters)
+        ckpt.epoch, ckpt.step = text("counters", read_payload(), _parse_counters, _counter_lines)
         if fh.tell() != end:
             raise CheckpointError(f"{name}: trailing bytes")
     return ckpt
 
 
-def _values(lines: list[str], *keys: str) -> list[str]:
-    """The values of `lines`, which must be `key=value` lines naming exactly
-    `keys`, each once and in that order."""
-    pairs = [line.split("=", 1) for line in lines]
-    if [pair[0] for pair in pairs] != list(keys) or any(len(pair) < 2 for pair in pairs):
-        raise ValueError(f"expected {' '.join(k + '=' for k in keys)} once each, in that order")
-    return [value for _, value in pairs]
-
-
 def _parse_vocab(lines: list[str]) -> Vocab:
-    (total_tokens,) = _values(lines[:1], "total_tokens")
     words, counts = [], []
     for line in lines[1:]:
         w, _, c = line.partition("\t")
@@ -469,7 +481,7 @@ def _parse_vocab(lines: list[str]) -> Vocab:
             raise ValueError(f"word {w!r} is empty or holds whitespace")
         words.append(w)
         counts.append(int(c))
-    vocab = Vocab(words, np.array(counts, dtype=np.int64), int(total_tokens))
+    vocab = Vocab(words, np.array(counts, dtype=np.int64), int(lines[0].partition("=")[2]))
     if len(vocab.id_of) != len(words):
         raise ValueError("duplicate word")
     if (vocab.counts < 1).any():
@@ -479,36 +491,33 @@ def _parse_vocab(lines: list[str]) -> Vocab:
     return vocab
 
 
-def _parse_ngram_dict(lines: list[str], config: TrainingConfig) -> StrokeNgramDict:
-    if _values(lines[0].split(" "), "n_min", "n_max") != [str(config.n_min), str(config.n_max)]:
-        raise ValueError(f"header {lines[0]!r} differs from the config's n-gram lengths")
-    (n_ngrams,) = map(int, _values(lines[1:2], "ngrams"))
-    ngrams = [tuple(map(int, line.split(","))) for line in lines[2:2 + n_ngrams]]
+def _parse_ngram_dict(lines: list[str], config: TrainingConfig, vocab: Vocab) -> StrokeNgramDict:
+    n_ngrams = int(lines[1].partition("=")[2])
+    ngrams = lines[2:2 + n_ngrams]
+    code = "(?:[12]?[0-9]|3[0-3])"  # 0..33 in canonical decimal
+    label = re.compile(rf"{code}(?:,{code}){{{config.n_min - 1},{config.n_max - 1}}}")
+    if not all(map(label.fullmatch, ngrams)):
+        raise ValueError(f"an n-gram is not {config.n_min} to {config.n_max} codes in 0..33")
     if len(set(ngrams)) != n_ngrams:
         raise ValueError(f"expected {n_ngrams} distinct n-grams")
     pos = 2 + n_ngrams
-    (n_chars,) = map(int, _values(lines[pos:pos + 1], "chars"))
+    n_chars = int(lines[pos].partition("=")[2])
     per_char = {}
     for line in lines[pos + 1:pos + 1 + n_chars]:
         ch, _, ids = line.partition("\t")
-        if ch in per_char:
-            raise ValueError(f"duplicate character {ch!r}")
         got = per_char[ch] = [int(s) for s in ids.split(",")] if ids else []
         if len(set(got)) != len(got) or not all(0 <= i < n_ngrams for i in got):
             raise ValueError(f"character {ch!r}: n-gram ids not distinct "
                              f"or not in [0, {n_ngrams})")
-    if len(per_char) != n_chars:
-        raise ValueError(f"expected {n_chars} characters")
-    pos += 1 + n_chars
-    (n_skip,) = map(int, _values(lines[pos:pos + 1], "skipped"))
-    skipped = lines[pos + 1:]
-    if len(skipped) != n_skip:
-        raise ValueError(f"expected {n_skip} skipped characters, got {len(skipped)}")
+    skipped = lines[pos + 2 + n_chars:]
+    if sorted([*per_char, *skipped]) != sorted(_cjk_chars(vocab)):
+        raise ValueError("the characters and the skipped characters are not, once each, "
+                         "the CJK characters of the vocab")
     return StrokeNgramDict(ngrams, per_char, skipped)
 
 
 def _parse_counters(lines: list[str]) -> tuple[int, int]:
-    epoch, step = map(int, _values(lines, "epoch", "step"))
+    epoch, step = (int(line.partition("=")[2]) for line in lines)
     if epoch < 0 or step < 0:
         raise ValueError(f"negative counter: epoch={epoch} step={step}")
     return epoch, step

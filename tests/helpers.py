@@ -147,7 +147,7 @@ def handmade_checkpoint():
     two glyphs, a character with no n-grams and two skipped characters."""
     cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3)
     vocab = Vocab(["中国", "人", "日本"], np.array([7, 4, 2]), 13)
-    ngram_dict = StrokeNgramDict([(0, 2, 5), (2, 5, 33), (0, 2, 5, 33)],
+    ngram_dict = StrokeNgramDict(["0,2,5", "2,5,33", "0,2,5,33"],
                                  {"中": [0, 1, 2], "国": [2], "人": []}, ["日", "本"])
     glyphs = {ch: (np.arange(784).reshape(28, 28) % k == 0).astype(np.uint8)
               for ch, k in (("中", 3), ("国", 5))}

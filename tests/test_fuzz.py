@@ -1,6 +1,7 @@
 """The file decoders on damaged input: a checkpoint, a glyph pack or a stroke
 table that is cut short or has one byte changed either loads or raises the
-decoder's own error, never a raw exception from deeper down."""
+decoder's own error, never a raw exception from deeper down. A damaged
+checkpoint that loads saves back to its own bytes."""
 import contextlib
 
 import pytest
@@ -40,9 +41,11 @@ def test_damaged_checkpoint(work, blob):
     p = work / "m.dwe"
     p.write_bytes(blob)
     try:
-        load_checkpoint(p)
+        ckpt = load_checkpoint(p)
     except CheckpointError:
         assert run(["nn", "--model", str(p), "--word", "人"]) == 2
+    else:
+        assert dump_checkpoint(ckpt) == blob
 
 
 @settings(max_examples=300, deadline=None)

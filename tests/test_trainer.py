@@ -395,6 +395,17 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="glyph section.*duplicate"):
             load_checkpoint(p)
 
+    def test_glyphs_out_of_order_rejected(self, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint())
+        payloads = split_sections(blob)
+        count, records = payloads[3][:4], payloads[3][4:]
+        payloads[3] = count + records[102:] + records[:102]  # two 102-byte records, swapped
+        p = tmp_path / "o.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="glyph section.*ascending"):
+            load_checkpoint(p)
+        assert run(["nn", "--model", str(p), "--word", "人"]) == 2
+
     def test_out_of_range_glyph_codepoint(self, trained, tmp_path):
         blob = dump_checkpoint(trained)
         payloads = split_sections(blob)
@@ -448,6 +459,21 @@ class TestCheckpointIO:
         (2, lambda payload: payload.replace(b"chars=3", b"chars=-9")),
         (7, lambda payload: payload + b"epoch=3\n"),
         (7, lambda payload: payload + b"bogus=1\n"),
+        # forms the writer never gives
+        (0, lambda payload: payload.replace(b"seed=3", b"seed=+3")),
+        (0, lambda payload: payload.replace(b"batch_size=4096", b"batch_size=4_096")),
+        (0, lambda payload: payload.replace(b"\n", b"\r\n")),
+        (7, lambda payload: payload.removesuffix(b"\n")),
+        (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n02,5,33\n")),
+        (2, lambda payload: payload.replace("日\n本\n".encode(), "本\n日\n".encode())),
+        (2, lambda payload: payload.replace("人\t\n国\t2\n".encode(), "国\t2\n人\t\n".encode())),
+        (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n2,5,99\n")),
+        (2, lambda payload: payload.replace("人\t\n".encode(), "人人\t\n".encode())),
+        # the dictionary holds or skips each CJK character of the vocab once
+        (2, lambda payload: payload.replace("skipped=2\n日\n".encode(),
+                                            "skipped=3\n日\n日\n".encode())),
+        (2, lambda payload: payload.replace("skipped=2\n日\n".encode(),
+                                            "skipped=3\n中\n日\n".encode())),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
@@ -456,7 +482,10 @@ class TestCheckpointIO:
             "vocab-unknown-key", "ngram-count-unknown-key", "ngram-header-extra-key",
             "ngram-header-differs-from-config", "skipped-count-above-lines",
             "line-after-skipped", "negative-char-count", "counters-repeated-key",
-            "counters-unknown-key"])
+            "counters-unknown-key", "config-plus-sign", "config-digit-separator",
+            "config-crlf", "counters-no-final-newline", "ngram-leading-zero",
+            "skipped-unsorted", "chars-unsorted", "ngram-code-above-33",
+            "char-key-two-characters", "skipped-repeated", "char-also-skipped"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint())
         payloads = split_sections(blob)
@@ -484,7 +513,8 @@ class TestCheckpointIO:
     def test_save_and_load_memory(self, tmp_path):
         V, G = 1500, 3000
         vocab = Vocab([f"w{i}" for i in range(V)], np.ones(V), V)
-        ngram_dict = StrokeNgramDict([(i,) for i in range(G)], {})
+        labels = [f"{i // 100},{i // 10 % 10},{i % 10}" for i in range(G)]  # 3 codes in 0..29
+        ngram_dict = StrokeNgramDict(labels, {})
         ckpt = init_checkpoint(vocab, ngram_dict, {}, TrainingConfig(dim=300))
         p = tmp_path / "m.dwe"
         tracemalloc.start()
