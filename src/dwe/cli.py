@@ -11,7 +11,7 @@ import sys
 from .evaluation import (Evaluator, load_analogy_dataset, load_similarity_dataset)
 from .morphology import (bitmap_ascii, extract_ngrams, is_cjk, load_glyph_pack,
                          load_stroke_table, ngram_str)
-from .trainer import (TrainingConfig, export_vectors, load_checkpoint,
+from .trainer import (VECTOR_SOURCES, TrainingConfig, export_vectors, load_checkpoint,
                       save_checkpoint, train)
 
 
@@ -62,34 +62,29 @@ def _build_parser() -> _Parser:
     mode.add_argument("--deterministic", action="store_true",
                       help="single-worker bit-reproducible mode (default)")
 
-    p = sub.add_parser("eval-sim", help="word-similarity evaluation", **_SUB_KWARGS)
-    p.add_argument("--model", required=True, help="checkpoint path")
+    # the options of every subcommand that reads a checkpoint's vectors
+    vectors = argparse.ArgumentParser(add_help=False)
+    vectors.add_argument("--model", required=True, help="checkpoint path")
+    vectors.add_argument("--which", choices=VECTOR_SOURCES, default="composed",
+                         help="vector source")
+    kwargs = dict(_SUB_KWARGS, parents=[vectors])
+
+    p = sub.add_parser("eval-sim", help="word-similarity evaluation", **kwargs)
     p.add_argument("--data", required=True, help="similarity dataset (word_a TAB word_b TAB score)")
-    p.add_argument("--which", choices=("composed", "word_id"), default="composed",
-                   help="vector source")
     p.add_argument("--json", action="store_true", help="JSON output instead of TSV")
 
-    p = sub.add_parser("eval-analogy", help="word-analogy evaluation", **_SUB_KWARGS)
-    p.add_argument("--model", required=True, help="checkpoint path")
+    p = sub.add_parser("eval-analogy", help="word-analogy evaluation", **kwargs)
     p.add_argument("--data", required=True, help="analogy dataset with ': group' headers")
     p.add_argument("--method", choices=("3cosadd", "3cosmul", "both"), default="both",
                    help="answer-selection method")
-    p.add_argument("--which", choices=("composed", "word_id"), default="composed",
-                   help="vector source")
     p.add_argument("--json", action="store_true", help="JSON output instead of TSV")
 
-    p = sub.add_parser("nn", help="nearest neighbors of a word", **_SUB_KWARGS)
-    p.add_argument("--model", required=True, help="checkpoint path")
+    p = sub.add_parser("nn", help="nearest neighbors of a word", **kwargs)
     p.add_argument("--word", required=True, help="query token (OOV allowed)")
     p.add_argument("--k", type=int, default=10, help="number of neighbors")
-    p.add_argument("--which", choices=("composed", "word_id"), default="composed",
-                   help="vector source")
 
-    p = sub.add_parser("export", help="export vectors in word2vec text format", **_SUB_KWARGS)
-    p.add_argument("--model", required=True, help="checkpoint path")
+    p = sub.add_parser("export", help="export vectors in word2vec text format", **kwargs)
     p.add_argument("--out", required=True, help="output text file")
-    p.add_argument("--which", choices=("composed", "word_id"), default="composed",
-                   help="vector source")
 
     p = sub.add_parser("inspect", help="show a character's strokes, n-grams, glyph",
                        **_SUB_KWARGS)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morphology import is_cjk
-from .trainer import Checkpoint
+from .trainer import VECTOR_SOURCES, Checkpoint
 
 EPS_3COSMUL = 0.001
 
@@ -105,8 +104,8 @@ class Evaluator:
     """Read-only query interface over a frozen checkpoint."""
 
     def __init__(self, ckpt: Checkpoint, which: str = "composed"):
-        if which not in ("composed", "word_id"):
-            raise ValueError(f"which must be 'composed' or 'word_id', got {which!r}")
+        if which not in VECTOR_SOURCES:
+            raise ValueError(f"which must be one of {VECTOR_SOURCES}, got {which!r}")
         self.vocab = ckpt.vocab
         self.model = m = ckpt.model()
         self._char_feats = m.char_features().astype(np.float64)
@@ -127,7 +126,7 @@ class Evaluator:
         if wid is not None:
             return self.matrix[wid]
         m = self.model
-        cids = [m.char_index[c] for c in token if is_cjk(c) and c in m.char_index]
+        cids = [m.char_index[c] for c in token if c in m.char_index]
         if not cids:
             raise UnrepresentableTokenError(f"no known CJK characters in {token!r}")
         return self._char_feats[cids].mean(axis=0)

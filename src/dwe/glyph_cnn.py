@@ -14,38 +14,37 @@ fixes the row order of fc1_w. Conv weights are (O, C, k, k).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-INPUT_SIDE = 28
+from .morphology import GLYPH_SIDE
+
 FLAT_SIZE = 256  # 16 * 4 * 4 after two conv/pool stages
 
 
 @dataclass
 class CnnParams:
-    conv1_w: np.ndarray  # (6, 1, 5, 5)
-    conv1_b: np.ndarray  # (6,)
-    conv2_w: np.ndarray  # (16, 6, 5, 5)
-    conv2_b: np.ndarray  # (16,)
-    fc1_w: np.ndarray    # (256, 120)
-    fc1_b: np.ndarray    # (120,)
-    fc2_w: np.ndarray    # (120, 84)
-    fc2_b: np.ndarray    # (84,)
-    fc3_w: np.ndarray    # (84, d)
-    fc3_b: np.ndarray    # (d,)
-
-    # Declared tensor order; checkpoints and accumulators follow it.
-    FIELDS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
-              "fc1_w", "fc1_b", "fc2_w", "fc2_b", "fc3_w", "fc3_b")
+    """The network's tensors; checkpoints and accumulators follow this order."""
+    conv1_w: np.ndarray
+    conv1_b: np.ndarray
+    conv2_w: np.ndarray
+    conv2_b: np.ndarray
+    fc1_w: np.ndarray
+    fc1_b: np.ndarray
+    fc2_w: np.ndarray
+    fc2_b: np.ndarray
+    fc3_w: np.ndarray
+    fc3_b: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.fc3_w.shape[1]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in self.FIELDS]
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def zeros_like(self) -> "CnnParams":
         return CnnParams(*(np.zeros_like(t) for _, t in self.tensors()))
@@ -54,28 +53,28 @@ class CnnParams:
         return CnnParams(*(t.astype(dtype) for _, t in self.tensors()))
 
 
+def cnn_shapes(d: int) -> list[tuple[int, ...]]:
+    """The shapes of the `CnnParams` tensors in declared order, for output
+    dimension d: conv weights (O, C, k, k), fc weights (in, out), biases."""
+    return [(6, 1, 5, 5), (6,), (16, 6, 5, 5), (16,),
+            (FLAT_SIZE, 120), (120,), (120, 84), (84,), (84, d), (d,)]
+
+
 def cnn_init(seed: int, d: int, dtype=np.float32) -> CnnParams:
-    """Glorot-uniform weights (fan computed per layer), zero biases."""
+    """Every tensor of `cnn_shapes(d)`, drawn in declared order: each weight
+    Glorot-uniform with fans shape[1]·k² and shape[0]·k² (k² = 1 for the fc
+    layers), each bias zero."""
     if d < 1:
         raise ValueError(f"output dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
 
-    def glorot(shape, fan_in, fan_out):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
+    def init(shape):
+        if len(shape) == 1:
+            return np.zeros(shape, dtype=dtype)
+        bound = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
         return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
-    return CnnParams(
-        conv1_w=glorot((6, 1, 5, 5), 1 * 25, 6 * 25),
-        conv1_b=np.zeros(6, dtype=dtype),
-        conv2_w=glorot((16, 6, 5, 5), 6 * 25, 16 * 25),
-        conv2_b=np.zeros(16, dtype=dtype),
-        fc1_w=glorot((FLAT_SIZE, 120), FLAT_SIZE, 120),
-        fc1_b=np.zeros(120, dtype=dtype),
-        fc2_w=glorot((120, 84), 120, 84),
-        fc2_b=np.zeros(84, dtype=dtype),
-        fc3_w=glorot((84, d), 84, d),
-        fc3_b=np.zeros(d, dtype=dtype),
-    )
+    return CnnParams(*map(init, cnn_shapes(d)))
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -153,8 +152,8 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray):
     """Feature vectors for a stack of bitmaps, shape (B, 28, 28), in the
     dtype of params."""
     bitmaps = np.asarray(bitmaps)
-    if bitmaps.ndim != 3 or bitmaps.shape[1:] != (INPUT_SIDE, INPUT_SIDE):
-        raise ValueError(f"expected (B, {INPUT_SIDE}, {INPUT_SIDE}) bitmaps, got {bitmaps.shape}")
+    if bitmaps.ndim != 3 or bitmaps.shape[1:] != (GLYPH_SIDE, GLYPH_SIDE):
+        raise ValueError(f"expected (B, {GLYPH_SIDE}, {GLYPH_SIDE}) bitmaps, got {bitmaps.shape}")
     x = bitmaps.astype(params.conv1_w.dtype)[..., None]
 
     pre1, col1 = _conv(x, params.conv1_w, params.conv1_b)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import Vocab
 from .glyph_cnn import CnnParams, cnn_backward_batch, cnn_forward_batch
-from .morphology import GLYPH_SIDE, StrokeNgramDict, is_cjk
+from .morphology import GLYPH_SIDE, StrokeNgramDict, cjk_chars
 
 
 def sigmoid(x):
@@ -149,14 +149,12 @@ class DweModel:
         # a disabled channel's factor: 1, or 0 when both channels are off
         self._identity = self.dtype.type(use_ngrams or use_glyphs)
 
-        # Character registry over all CJK characters of vocabulary words.
-        chars = sorted({c for w in vocab.words for c in w if is_cjk(c)})
+        self.chars = chars = cjk_chars(vocab.words)
         self.char_index = {c: i for i, c in enumerate(chars)}
-        self.chars = chars
         self.char_ngram_ptr, self.char_ngram_idx = _csr(
             [ngram_dict.per_char.get(c, []) for c in chars])
         self.word_char_ptr, self.word_char_idx = _csr(
-            [[self.char_index[c] for c in w if is_cjk(c)] for w in vocab.words])
+            [[self.char_index[c] for c in w if c in self.char_index] for w in vocab.words])
         blank = np.zeros((GLYPH_SIDE, GLYPH_SIDE))
         self.char_bitmaps = np.array([glyphs.get(c, blank) for c in chars],
                                      dtype=self.dtype).reshape(-1, GLYPH_SIDE, GLYPH_SIDE)

@@ -6,8 +6,10 @@ markers are represented internally as codes 0 (begin) and 33 (end).
 """
 from __future__ import annotations
 
+import re
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,12 @@ def is_cjk(codepoint: int | str) -> bool:
     return CJK_LO <= codepoint <= CJK_HI
 
 
+def cjk_chars(words: Iterable[str]) -> list[str]:
+    """The character registry: the sorted, distinct CJK characters of the
+    words. Both channels, the n-gram dictionary and the glyphs index it."""
+    return sorted({c for w in words for c in w if is_cjk(c)})
+
+
 def ngram_str(label: str) -> str:
     """Human-readable rendering of an n-gram label, e.g. '0,4,12,33' -> '<4-12>'."""
     marks = {str(BOS): "<", str(EOS): ">"}
@@ -66,16 +74,21 @@ def extract_ngrams(codes: list[int] | tuple[int, ...], n_min: int, n_max: int) -
     return out
 
 
+def ngram_label_pattern(n_min: int, n_max: int) -> re.Pattern:
+    """The labels `extract_ngrams` can yield for these lengths: `n_min` to
+    `n_max` codes in BOS..EOS, in canonical decimal, joined by commas."""
+    code = "(?:[12]?[0-9]|3[0-3])"  # 0..33
+    return re.compile(rf"{code}(?:,{code}){{{n_min - 1},{n_max - 1}}}")
+
+
 @dataclass
 class StrokeNgramDict:
     """The n-gram dictionary. `ngrams[i]` is the label (see `extract_ngrams`)
     of the boundary-marked n-gram with id i, `per_char[c]` the distinct ids
-    of character c's n-grams, and `skipped` the observed characters without
-    stroke data. The n-gram lengths are the training config's `n_min` and
-    `n_max`."""
+    of character c's n-grams; registry characters without stroke data have
+    no entry. The n-gram lengths are the training config's `n_min`/`n_max`."""
     ngrams: list[str]
     per_char: dict[str, list[int]]
-    skipped: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.ngrams)
@@ -83,23 +96,17 @@ class StrokeNgramDict:
 
 def build_ngram_dict(
     stroke_table: dict[str, list[int]],
-    observed_chars: set[str],
+    observed_chars: Iterable[str],
     n_min: int,
     n_max: int,
 ) -> StrokeNgramDict:
-    """Scan observed characters (sorted, for deterministic id assignment)
-    and collect their deduplicated boundary-marked n-grams."""
+    """Scan observed characters with stroke data (sorted, for deterministic
+    id assignment) and collect their deduplicated boundary-marked n-grams."""
     ngram_ids: dict[str, int] = {}
-    per_char: dict[str, list[int]] = {}
-    skipped: list[str] = []
-    for ch in sorted(observed_chars):
-        codes = stroke_table.get(ch)
-        if codes is None:
-            skipped.append(ch)
-            continue
-        per_char[ch] = [ngram_ids.setdefault(ng, len(ngram_ids))
-                        for ng in dict.fromkeys(extract_ngrams(codes, n_min, n_max))]
-    return StrokeNgramDict(list(ngram_ids), per_char, skipped)
+    per_char = {ch: [ngram_ids.setdefault(ng, len(ngram_ids))
+                     for ng in dict.fromkeys(extract_ngrams(stroke_table[ch], n_min, n_max))]
+                for ch in sorted(observed_chars) if ch in stroke_table}
+    return StrokeNgramDict(list(ngram_ids), per_char)
 
 
 def load_stroke_table(path) -> dict[str, list[int]]:

@@ -18,7 +18,6 @@ import contextlib
 import io
 import math
 import os
-import re
 import struct
 import sys
 import threading
@@ -28,15 +27,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .corpus import NegativeSampler, Vocab, build_vocab, context_pairs, read_sentences
-from .glyph_cnn import CnnParams, cnn_init
+from .glyph_cnn import CnnParams, cnn_init, cnn_shapes
 from .model import (ADAGRAD_EPS, DweModel, EmbeddingTables, adagrad_step,
                     adagrad_step_rows, init_tables)
-from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict,
-                         dump_glyph_records, is_cjk, load_glyph_pack, load_stroke_table,
-                         parse_glyph_records)
+from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict, cjk_chars,
+                         dump_glyph_records, load_glyph_pack, load_stroke_table,
+                         ngram_label_pattern, parse_glyph_records)
 
 CHECKPOINT_MAGIC = b"DWE1"
 CHECKPOINT_VERSION = 1
+VECTOR_SOURCES = ("composed", "word_id")  # `which` of export_vectors and Evaluator
 
 
 class CheckpointError(ValueError):
@@ -256,11 +256,6 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
     return totals[0], totals[1]
 
 
-def _cjk_chars(vocab: Vocab) -> set[str]:
-    """The characters the n-gram dictionary holds or skips."""
-    return {c for w in vocab.words for c in w if is_cjk(c)}
-
-
 def train(corpus_path, stroke_table_path, glyph_pack_path,
           config: TrainingConfig, resume=None, log=sys.stderr) -> Checkpoint:
     """Train a new checkpoint, or resume the checkpoint file `resume` with its
@@ -280,16 +275,14 @@ def train(corpus_path, stroke_table_path, glyph_pack_path,
     vocab = build_vocab(tokens, config.min_count)
     stroke_table = load_stroke_table(stroke_table_path)
     glyph_table = load_glyph_pack(glyph_pack_path)
-    observed = _cjk_chars(vocab)
-    ngram_dict = build_ngram_dict(stroke_table, observed, config.n_min, config.n_max)
-    if ngram_dict.skipped and log is not None:
-        print(f"warning: {len(ngram_dict.skipped)} characters lack stroke data",
-              file=log)
-    glyphs = {c: glyph_table[c] for c in observed if c in glyph_table}
-    missing_glyphs = observed - set(glyphs)
-    if missing_glyphs and log is not None:
-        print(f"warning: {len(missing_glyphs)} characters lack glyphs (zero bitmap)",
-              file=log)
+    chars = cjk_chars(vocab.words)
+    ngram_dict = build_ngram_dict(stroke_table, chars, config.n_min, config.n_max)
+    glyphs = {c: glyph_table[c] for c in chars if c in glyph_table}
+    if log is not None:
+        for lacking, what in ((len(chars) - len(ngram_dict.per_char), "stroke data"),
+                              (len(chars) - len(glyphs), "glyphs (zero bitmap)")):
+            if lacking:
+                print(f"warning: {lacking} characters lack {what}", file=log)
     return train_checkpoint(init_checkpoint(vocab, ngram_dict, glyphs, config),
                             corpus_path, log=log)
 
@@ -340,11 +333,13 @@ def _vocab_lines(vocab: Vocab) -> list[str]:
             *(f"{w}\t{int(c)}" for w, c in zip(vocab.words, vocab.counts))]
 
 
-def _ngram_dict_lines(nd: StrokeNgramDict, config: TrainingConfig) -> list[str]:
+def _ngram_dict_lines(nd: StrokeNgramDict, config: TrainingConfig, chars: list[str]) -> list[str]:
+    """`chars` is the registry; its characters without `per_char` ids are skipped."""
+    skipped = [c for c in chars if c not in nd.per_char]
     return [f"n_min={config.n_min} n_max={config.n_max}", f"ngrams={len(nd)}", *nd.ngrams,
             f"chars={len(nd.per_char)}",
             *(f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)),
-            f"skipped={len(nd.skipped)}", *sorted(nd.skipped)]
+            f"skipped={len(skipped)}", *skipped]
 
 
 def _counter_lines(counters: tuple[int, int]) -> list[str]:
@@ -356,9 +351,9 @@ def _float_sections(ckpt: Checkpoint) -> list[list[tuple[object, str]]]:
     attribute) of its arrays in file order. Arrays are stored as `<f4`."""
     t, a = ckpt.tables, ckpt.accum
     return [[(t, "word_id_vecs"), (t, "context_vecs"), (t, "ngram_vecs")],
-            [(ckpt.cnn, f) for f in CnnParams.FIELDS],
+            [(ckpt.cnn, f.name) for f in fields(CnnParams)],
             [(a, "word_id"), (a, "context"), (a, "ngram")]
-            + [(a.cnn, f) for f in CnnParams.FIELDS]]
+            + [(a.cnn, f.name) for f in fields(CnnParams)]]
 
 
 def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
@@ -368,7 +363,8 @@ def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
     fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
     write_section(_text(ckpt.config.to_lines()))
     write_section(_text(_vocab_lines(ckpt.vocab)))
-    write_section(_text(_ngram_dict_lines(ckpt.ngram_dict, ckpt.config)))
+    write_section(_text(_ngram_dict_lines(ckpt.ngram_dict, ckpt.config,
+                                          cjk_chars(ckpt.vocab.words))))
     write_section(dump_glyph_records(ckpt.glyphs))
     for section in _float_sections(ckpt):
         arrays = [getattr(owner, attr) for owner, attr in section]
@@ -427,7 +423,7 @@ def load_checkpoint(path) -> Checkpoint:
         def text(what: str, payload: bytes, parse, lines_of):
             try:
                 decoded = parse(payload.decode("utf-8").splitlines())
-            except (ValueError, IndexError, KeyError) as exc:
+            except (ValueError, IndexError, KeyError, OverflowError) as exc:
                 raise CheckpointError(f"{name}: bad {what} section: "
                                       f"{type(exc).__name__}: {exc}") from exc
             if _text(lines_of(decoded)) != payload:
@@ -438,23 +434,31 @@ def load_checkpoint(path) -> Checkpoint:
         config = text("config", read_payload().replace(b"\ndtype=float64\n", b"\ndtype=float32\n"),
                       TrainingConfig.from_lines, TrainingConfig.to_lines)
         vocab = text("vocab", read_payload(), _parse_vocab, _vocab_lines)
+        chars = cjk_chars(vocab.words)
         ngram_dict = text("n-gram dictionary", read_payload(),
-                          lambda lines: _parse_ngram_dict(lines, config, vocab),
-                          lambda nd: _ngram_dict_lines(nd, config))
+                          lambda lines: _parse_ngram_dict(lines, config, chars),
+                          lambda nd: _ngram_dict_lines(nd, config, chars))
         try:
             glyphs = parse_glyph_records(read_payload(), f"{name}: glyph section")
         except GlyphPackError as exc:
             raise CheckpointError(str(exc)) from exc
         if list(glyphs) != sorted(glyphs):
             raise CheckpointError(f"{name}: glyph section: codepoints not in ascending order")
+        if not glyphs.keys() <= set(chars):
+            raise CheckpointError(f"{name}: glyph section: a character is not a CJK "
+                                  "character of the vocab")
 
-        # Shape-only stand-ins, replaced by the arrays read below.
+        # Zero-stride stand-ins that carry only shapes: each array is read,
+        # below, after its section's size is checked against the file.
         d = config.dim
+        if 4 * d > end:
+            raise CheckpointError(f"{name}: dim={d} is larger than the file can hold")
         rows = [np.broadcast_to(np.float32(0), (n, d))
                 for n in (len(vocab), len(vocab), len(ngram_dict))]
-        cnn = cnn_init(0, d)
+        cnn, cnn_accum = (CnnParams(*(np.broadcast_to(np.float32(0), s) for s in cnn_shapes(d)))
+                          for _ in range(2))
         ckpt = Checkpoint(config, vocab, ngram_dict, glyphs, EmbeddingTables(*rows), cnn,
-                          Accumulators(*rows, cnn.zeros_like()))
+                          Accumulators(*rows, cnn_accum))
         for section in _float_sections(ckpt):
             size = section_size()
             want = 4 * sum(getattr(owner, attr).size for owner, attr in section)
@@ -491,12 +495,11 @@ def _parse_vocab(lines: list[str]) -> Vocab:
     return vocab
 
 
-def _parse_ngram_dict(lines: list[str], config: TrainingConfig, vocab: Vocab) -> StrokeNgramDict:
+def _parse_ngram_dict(lines: list[str], config: TrainingConfig,
+                      chars: list[str]) -> StrokeNgramDict:
     n_ngrams = int(lines[1].partition("=")[2])
     ngrams = lines[2:2 + n_ngrams]
-    code = "(?:[12]?[0-9]|3[0-3])"  # 0..33 in canonical decimal
-    label = re.compile(rf"{code}(?:,{code}){{{config.n_min - 1},{config.n_max - 1}}}")
-    if not all(map(label.fullmatch, ngrams)):
+    if not all(map(ngram_label_pattern(config.n_min, config.n_max).fullmatch, ngrams)):
         raise ValueError(f"an n-gram is not {config.n_min} to {config.n_max} codes in 0..33")
     if len(set(ngrams)) != n_ngrams:
         raise ValueError(f"expected {n_ngrams} distinct n-grams")
@@ -509,11 +512,9 @@ def _parse_ngram_dict(lines: list[str], config: TrainingConfig, vocab: Vocab) ->
         if len(set(got)) != len(got) or not all(0 <= i < n_ngrams for i in got):
             raise ValueError(f"character {ch!r}: n-gram ids not distinct "
                              f"or not in [0, {n_ngrams})")
-    skipped = lines[pos + 2 + n_chars:]
-    if sorted([*per_char, *skipped]) != sorted(_cjk_chars(vocab)):
-        raise ValueError("the characters and the skipped characters are not, once each, "
-                         "the CJK characters of the vocab")
-    return StrokeNgramDict(ngrams, per_char, skipped)
+    if not per_char.keys() <= set(chars):
+        raise ValueError("a character is not a CJK character of the vocab")
+    return StrokeNgramDict(ngrams, per_char)
 
 
 def _parse_counters(lines: list[str]) -> tuple[int, int]:
@@ -525,8 +526,8 @@ def _parse_counters(lines: list[str]) -> tuple[int, int]:
 
 def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
     """word2vec text format: header 'V d', then token + 6-decimal components."""
-    if which not in ("composed", "word_id"):
-        raise ValueError(f"which must be 'composed' or 'word_id', got {which!r}")
+    if which not in VECTOR_SOURCES:
+        raise ValueError(f"which must be one of {VECTOR_SOURCES}, got {which!r}")
     if which == "composed":
         rows = ckpt.model().compose(np.arange(len(ckpt.vocab)))
     else:

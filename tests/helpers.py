@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from dwe.corpus import Vocab
-from dwe.glyph_cnn import CnnParams, cnn_init
+from dwe.glyph_cnn import CnnParams, cnn_init, cnn_shapes
 from dwe.model import DweModel, EmbeddingTables, init_tables
 from dwe.morphology import StrokeNgramDict, build_ngram_dict
 from dwe.trainer import Accumulators, Checkpoint, TrainingConfig
@@ -144,11 +144,11 @@ def brute_3cosmul(words, matrix, a, b, h, eps=0.001):
 
 def handmade_checkpoint():
     """A checkpoint built without randomness: arange-filled float32 arrays,
-    two glyphs, a character with no n-grams and two skipped characters."""
+    two glyphs, a character with no n-grams and two without stroke data."""
     cfg = TrainingConfig(dim=5, n_min=3, n_max=4, min_count=1, seed=3)
     vocab = Vocab(["中国", "人", "日本"], np.array([7, 4, 2]), 13)
     ngram_dict = StrokeNgramDict(["0,2,5", "2,5,33", "0,2,5,33"],
-                                 {"中": [0, 1, 2], "国": [2], "人": []}, ["日", "本"])
+                                 {"中": [0, 1, 2], "国": [2], "人": []})
     glyphs = {ch: (np.arange(784).reshape(28, 28) % k == 0).astype(np.uint8)
               for ch, k in (("中", 3), ("国", 5))}
     start = [0]
@@ -160,7 +160,7 @@ def handmade_checkpoint():
         return arr
 
     def cnn():
-        return CnnParams(*(filled(t.shape) for _, t in cnn_init(0, cfg.dim).tensors()))
+        return CnnParams(*map(filled, cnn_shapes(cfg.dim)))
 
     V, G, d = len(vocab), len(ngram_dict), cfg.dim
     tables = EmbeddingTables(filled((V, d)), filled((V, d)), filled((G, d)))

