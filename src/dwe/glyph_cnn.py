@@ -11,6 +11,19 @@ smaller.
 Activations stay channels-last, (B, H, W, C), from the input to the
 flatten, which reads the last pooled map in (C, H, W) order; that order
 fixes the row order of fc1_w. Conv weights are (O, C, k, k).
+
+A pass writes its activations and large intermediates (im2col columns,
+conv outputs, pooled maps, unpool masks, the col2im gradients and the
+NCHW copies) into a `CnnBuffers` set through `out=` and in-place ops:
+the same operations in the same order as on fresh arrays, so reuse does
+not change a bit. `DweModel` owns one set for its training step, and
+`char_features` makes one per call; other callers get a fresh set by
+default. A set grows to the largest batch it has seen, after which a
+training step maps no new memory. A `CnnTape` is views of its set and
+lives until the next pass on that set: the backward pass writes each
+gradient into the dead activation of its shape (the columns' gradient
+into col2, dpre into pre2 and pre1). Nothing a call returns aliases a
+set: features and gradients are fresh arrays.
 """
 from __future__ import annotations
 
@@ -77,33 +90,73 @@ def cnn_init(seed: int, d: int, dtype=np.float32) -> CnnParams:
     return CnnParams(*map(init, cnn_shapes(d)))
 
 
-def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+class CnnBuffers:
+    """Named flat arrays that forward and backward passes write into.
+
+    `take(name, shape, dtype)` is a view of the first prod(shape) elements
+    of the array `name`; a too small array, or one of another dtype, is
+    replaced first. So a set grows to the largest batch it has seen and
+    then allocates nothing. `passes` counts the forward and backward
+    passes run on the set, which tells a live tape from a stale one. One
+    set serves one pass at a time: it is not thread-safe.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self.passes = 0
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        n = math.prod(shape)
+        a = self._arrays.get(name)
+        if a is None or a.size < n or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(n, dtype)
+        return a[:n].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays.values())
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, buffers: CnnBuffers, layer: int):
     """Valid stride-1 convolution of x (B, H, W, C); returns the output
-    (B, Ho, Wo, O) and the columns (B, Ho, Wo, C*k*k) it was computed from."""
+    (B, Ho, Wo, O) and the columns (B, Ho, Wo, C*k*k) it was computed from,
+    buffers `pre{layer}` and `col{layer}`, both in the dtype of w."""
     o, c, k, _ = w.shape
     win = sliding_window_view(x, (k, k), axis=(1, 2))  # (B, Ho, Wo, C, k, k)
-    col = win.reshape(*win.shape[:3], c * k * k)
-    return col @ w.reshape(o, -1).T + b, col
+    col = buffers.take(f"col{layer}", (*win.shape[:3], c * k * k), w.dtype)
+    np.copyto(col.reshape(win.shape), win, casting="unsafe")
+    out = np.matmul(col, w.reshape(o, -1).T,
+                    out=buffers.take(f"pre{layer}", (*win.shape[:3], o), w.dtype))
+    out += b
+    return out, col
 
 
-def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray):
+def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray, buffers: CnnBuffers):
     """(dw, db) of _conv from its output gradient dout (B, Ho, Wo, O).
-    Float sums depend on memory order: both reductions run over an
-    NCHW-ordered copy of dout, the order that fixes the bits of trained
-    checkpoints."""
-    d = np.ascontiguousarray(dout.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
-    dw = np.tensordot(d, col, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
-    return dw, d.sum(axis=(0, 1, 2))
+    Float sums depend on memory order; these keep the order that fixes the
+    bits of trained checkpoints. dw is one product of an (O, B*Ho*Wo) copy
+    of dout with the columns, as np.tensordot forms it, and db sums over an
+    NCHW-ordered copy of dout."""
+    o = w.shape[0]
+    b, ho, wo = dout.shape[:3]
+    nchw = buffers.take("nchw", (b, o, ho, wo), dout.dtype)
+    np.copyto(nchw, dout.transpose(0, 3, 1, 2))
+    onchw = buffers.take("onchw", (o, b, ho, wo), dout.dtype)
+    np.copyto(onchw, dout.transpose(3, 0, 1, 2))
+    dw = np.dot(onchw.reshape(o, -1), col.reshape(-1, col.shape[-1])).reshape(w.shape)
+    return dw, nchw.transpose(0, 2, 3, 1).sum(axis=(0, 1, 2))
 
 
-def _conv_input_grad(dout: np.ndarray, w: np.ndarray, x_shape) -> np.ndarray:
-    """Gradient of _conv w.r.t. its input x (x_shape): col2im as k*k
-    slice-adds."""
+def _conv_input_grad(dout: np.ndarray, w: np.ndarray, dcol: np.ndarray,
+                     dx: np.ndarray) -> np.ndarray:
+    """Gradient of _conv w.r.t. its input, written into dx (B, H, W, C):
+    the columns' gradient goes into dcol (B, Ho, Wo, C*k*k), then col2im
+    as k*k slice-adds."""
     o, c, k, _ = w.shape
-    dcol = dout @ w.reshape(o, -1)                      # (B, Ho, Wo, C*k*k)
+    np.matmul(dout, w.reshape(o, -1), out=dcol)
     b, ho, wo = dcol.shape[:3]
     dcol = dcol.reshape(b, ho, wo, c, k, k)
-    dx = np.zeros(x_shape, dtype=dout.dtype)
+    dx.fill(0)
     for i in range(k):
         for j in range(k):
             dx[:, i:i + ho, j:j + wo] += dcol[..., i, j]
@@ -116,27 +169,44 @@ def _quadrants(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, r::2, c::2] for r in (0, 1) for c in (0, 1)]
 
 
-def _pool(a: np.ndarray) -> np.ndarray:
+def _pool(a: np.ndarray, buffers: CnnBuffers | None = None, layer: int = 1) -> np.ndarray:
+    """2x2 max pooling of a (B, H, W, C) into buffer `max{layer}` of
+    `buffers` (a fresh set by default); buffer `tmp` takes the maximum of
+    the lower two positions of each window."""
+    buffers = CnnBuffers() if buffers is None else buffers
     q = _quadrants(a)
-    return np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    out = np.maximum(q[0], q[1], out=buffers.take(f"max{layer}", q[0].shape, a.dtype))
+    lower = np.maximum(q[2], q[3], out=buffers.take("tmp", q[0].shape, a.dtype))
+    return np.maximum(out, lower, out=out)
 
 
-def _unpool(dmax: np.ndarray, pre: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+def _unpool(dmax: np.ndarray, pre: np.ndarray, pooled: np.ndarray,
+            out: np.ndarray | None = None, buffers: CnnBuffers | None = None) -> np.ndarray:
     """Route dmax to the first row-major position of each window of pre
-    that equals its max `pooled`; every other position gets zero."""
-    dpre = np.empty(pre.shape, dtype=dmax.dtype)
-    free = np.ones(pooled.shape, dtype=bool)
-    for src, dst in zip(_quadrants(pre), _quadrants(dpre)):
-        hit = free & (src == pooled)
+    that equals its max `pooled`; every other position gets zero. The
+    result goes into out (a fresh array by default), which may be pre
+    itself: each quadrant is compared before it is written. The masks use
+    `buffers` (a fresh set by default)."""
+    out = np.empty(pre.shape, dtype=dmax.dtype) if out is None else out
+    buffers = CnnBuffers() if buffers is None else buffers
+    free = buffers.take("free", pooled.shape, bool)
+    hit = buffers.take("hit", pooled.shape, bool)
+    free.fill(True)
+    for src, dst in zip(_quadrants(pre), _quadrants(out)):
+        np.equal(src, pooled, out=hit)
+        hit &= free
         np.multiply(dmax, hit, out=dst)
-        free &= ~hit
-    return dpre
+        free ^= hit  # hit is a subset of free
+    return out
 
 
 @dataclass
 class CnnTape:
-    """Activations one forward pass leaves for the backward pass; maxN is
-    the pooled conv output before ReLU."""
+    """Activations one forward pass leaves for the backward pass, as views
+    of its buffer set. maxN is the pooled conv output before ReLU, hN the
+    ReLU of pre_fcN. A tape is valid until the next pass on its set: it
+    serves one backward pass, which overwrites col2, pre2 and pre1 with
+    gradients, and a later forward pass overwrites all of it."""
     col1: np.ndarray     # (B, 24, 24, 25)
     pre1: np.ndarray     # (B, 24, 24, 6)
     max1: np.ndarray     # (B, 12, 12, 6)
@@ -145,54 +215,89 @@ class CnnTape:
     max2: np.ndarray     # (B, 4, 4, 16)
     flat: np.ndarray     # (B, 256)
     pre_fc1: np.ndarray  # (B, 120)
+    h1: np.ndarray       # (B, 120)
     pre_fc2: np.ndarray  # (B, 84)
+    h2: np.ndarray       # (B, 84)
+    buffers: CnnBuffers
+    pass_id: int         # buffers.passes after the forward pass
 
 
-def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray):
+def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
+                      buffers: CnnBuffers | None = None):
     """Feature vectors for a stack of bitmaps, shape (B, 28, 28), in the
-    dtype of params."""
+    dtype of params, and the tape for `cnn_backward_batch`.
+
+    The activations go into `buffers`, a fresh set by default; the tape
+    is views of them. The features are a fresh array.
+    """
     bitmaps = np.asarray(bitmaps)
     if bitmaps.ndim != 3 or bitmaps.shape[1:] != (GLYPH_SIDE, GLYPH_SIDE):
         raise ValueError(f"expected (B, {GLYPH_SIDE}, {GLYPH_SIDE}) bitmaps, got {bitmaps.shape}")
-    x = bitmaps.astype(params.conv1_w.dtype)[..., None]
+    buffers = CnnBuffers() if buffers is None else buffers
+    buffers.passes += 1
+    dtype = params.conv1_w.dtype
 
-    pre1, col1 = _conv(x, params.conv1_w, params.conv1_b)
-    max1 = _pool(pre1)
-    pre2, col2 = _conv(np.maximum(max1, 0), params.conv2_w, params.conv2_b)
-    max2 = _pool(pre2)
-    flat = np.maximum(max2, 0).transpose(0, 3, 1, 2).reshape(len(x), FLAT_SIZE)
-    pre_fc1 = flat @ params.fc1_w + params.fc1_b
-    pre_fc2 = np.maximum(pre_fc1, 0) @ params.fc2_w + params.fc2_b
-    feature = np.maximum(pre_fc2, 0) @ params.fc3_w + params.fc3_b
-    tape = CnnTape(col1, pre1, max1, col2, pre2, max2, flat, pre_fc1, pre_fc2)
+    def take(name, *shape):
+        return buffers.take(name, shape, dtype)
+
+    pre1, col1 = _conv(bitmaps[..., None], params.conv1_w, params.conv1_b, buffers, 1)
+    max1 = _pool(pre1, buffers, 1)
+    relu1 = np.maximum(max1, 0, out=take("tmp", *max1.shape))  # pooling is done with tmp
+    pre2, col2 = _conv(relu1, params.conv2_w, params.conv2_b, buffers, 2)
+    max2 = _pool(pre2, buffers, 2)
+    b, h, w, c = max2.shape
+    flat = take("flat", b, c * h * w)
+    np.maximum(max2, 0, out=flat.reshape(b, c, h, w).transpose(0, 2, 3, 1))
+    pre_fc1 = np.matmul(flat, params.fc1_w, out=take("pre_fc1", b, params.fc1_w.shape[1]))
+    pre_fc1 += params.fc1_b
+    h1 = np.maximum(pre_fc1, 0, out=take("h1", *pre_fc1.shape))
+    pre_fc2 = np.matmul(h1, params.fc2_w, out=take("pre_fc2", b, params.fc2_w.shape[1]))
+    pre_fc2 += params.fc2_b
+    h2 = np.maximum(pre_fc2, 0, out=take("h2", *pre_fc2.shape))
+    feature = h2 @ params.fc3_w + params.fc3_b
+    tape = CnnTape(col1, pre1, max1, col2, pre2, max2, flat, pre_fc1, h1, pre_fc2, h2,
+                   buffers, buffers.passes)
     return feature, tape
 
 
 def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray) -> CnnParams:
-    """Gradient of sum_b grad_output[b] . feature[b] w.r.t. every parameter."""
+    """Gradient of sum_b grad_output[b] . feature[b] w.r.t. every parameter,
+    as fresh arrays. The intermediates go into the tape's buffer set. A
+    stale tape, one whose set has run a pass since its forward pass, is
+    refused."""
+    if tape.pass_id != tape.buffers.passes:
+        raise ValueError("stale CNN tape: its buffers have run a pass since its forward pass")
     grad_output = np.asarray(grad_output, dtype=tape.flat.dtype)
     if grad_output.shape != (len(tape.flat), params.dim):
         raise ValueError(f"grad_output shape {grad_output.shape} does not match "
                          f"tape batch {(len(tape.flat), params.dim)}")
-    h1 = np.maximum(tape.pre_fc1, 0)
-    h2 = np.maximum(tape.pre_fc2, 0)
+    buffers = tape.buffers
+    buffers.passes += 1
 
-    dfc3_w = h2.T @ grad_output
+    def take_like(name, like):
+        return buffers.take(name, like.shape, like.dtype)
+
+    dfc3_w = tape.h2.T @ grad_output
     dfc3_b = grad_output.sum(axis=0)
-    dh2 = (grad_output @ params.fc3_w.T) * (tape.pre_fc2 > 0)
-    dfc2_w = h1.T @ dh2
+    dh2 = np.matmul(grad_output, params.fc3_w.T, out=take_like("dh2", tape.h2))
+    dh2 *= tape.pre_fc2 > 0
+    dfc2_w = tape.h1.T @ dh2
     dfc2_b = dh2.sum(axis=0)
-    dh1 = (dh2 @ params.fc2_w.T) * (tape.pre_fc1 > 0)
+    dh1 = np.matmul(dh2, params.fc2_w.T, out=take_like("dh1", tape.h1))
+    dh1 *= tape.pre_fc1 > 0
     dfc1_w = tape.flat.T @ dh1
     dfc1_b = dh1.sum(axis=0)
-    dflat = dh1 @ params.fc1_w.T
+    dflat = np.matmul(dh1, params.fc1_w.T, out=take_like("dflat", tape.flat))
 
-    dmax2 = dflat.reshape(-1, 16, 4, 4).transpose(0, 2, 3, 1) * (tape.max2 > 0)
-    dpre2 = _unpool(dmax2, tape.pre2, tape.max2)
-    dconv2_w, dconv2_b = _conv_grads(dpre2, tape.col2, params.conv2_w)
-    dmax1 = _conv_input_grad(dpre2, params.conv2_w, tape.max1.shape) * (tape.max1 > 0)
-    dpre1 = _unpool(dmax1, tape.pre1, tape.max1)
-    dconv1_w, dconv1_b = _conv_grads(dpre1, tape.col1, params.conv1_w)
+    # once dead, pre2, col2 and pre1 take the gradients of their shapes
+    dmax2 = np.multiply(dflat.reshape(-1, 16, 4, 4).transpose(0, 2, 3, 1), tape.max2 > 0,
+                        out=take_like("dmax2", tape.max2))
+    dpre2 = _unpool(dmax2, tape.pre2, tape.max2, out=tape.pre2, buffers=buffers)
+    dconv2_w, dconv2_b = _conv_grads(dpre2, tape.col2, params.conv2_w, buffers)
+    dmax1 = _conv_input_grad(dpre2, params.conv2_w, tape.col2, take_like("dmax1", tape.max1))
+    dmax1 *= tape.max1 > 0
+    dpre1 = _unpool(dmax1, tape.pre1, tape.max1, out=tape.pre1, buffers=buffers)
+    dconv1_w, dconv1_b = _conv_grads(dpre1, tape.col1, params.conv1_w, buffers)
 
     return CnnParams(dconv1_w, dconv1_b, dconv2_w, dconv2_b,
                      dfc1_w, dfc1_b, dfc2_w, dfc2_b, dfc3_w, dfc3_b)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocab
-from .glyph_cnn import CnnParams, cnn_backward_batch, cnn_forward_batch
+from .glyph_cnn import CnnBuffers, CnnParams, cnn_backward_batch, cnn_forward_batch
 from .morphology import GLYPH_SIDE, StrokeNgramDict, cjk_chars
 
 
@@ -47,7 +47,7 @@ def log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
-CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds the im2col buffers
+CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds char_features' one buffer set
 ADAGRAD_BLOCK = 128 * 300  # floats per pass of adagrad_step_rows: 128 rows at dim 300
 ADAGRAD_EPS = 1e-8  # Adagrad's smoothing term; every checkpoint's config records it
 
@@ -158,29 +158,33 @@ class DweModel:
         blank = np.zeros((GLYPH_SIDE, GLYPH_SIDE))
         self.char_bitmaps = np.array([glyphs.get(c, blank) for c in chars],
                                      dtype=self.dtype).reshape(-1, GLYPH_SIDE, GLYPH_SIDE)
+        # batch_loss_and_grads's CNN buffers, grown to its largest batch
+        self._cnn_buffers = CnnBuffers()
 
     # -- composition ----------------------------------------------------
 
-    def _char_factors(self, char_ids: np.ndarray):
+    def _char_factors(self, char_ids: np.ndarray, buffers: CnnBuffers):
         """(s, v, CNN tape, n-gram sub-CSR) of registry characters, whose
-        features are s * v: n-gram sums times CNN outputs, or the identity."""
+        features are s * v: n-gram sums times CNN outputs, or the identity.
+        The CNN runs in `buffers`."""
         s = v = self._identity
         tape = None
         ngrams = _csr_rows(self.char_ngram_ptr, self.char_ngram_idx, char_ids)
         if self.use_ngrams:
             s = _segment_sum(self.tables.ngram_vecs, ngrams[1], ngrams[0])
         if self.use_glyphs and len(char_ids):
-            v, tape = cnn_forward_batch(self.cnn, self.char_bitmaps[char_ids])
+            v, tape = cnn_forward_batch(self.cnn, self.char_bitmaps[char_ids], buffers)
         return s, v, tape, ngrams
 
     def char_features(self, char_ids=None) -> np.ndarray:
         """Features of registry characters (all by default); forward only,
-        CNN_CHUNK glyphs per CNN call."""
+        CNN_CHUNK glyphs per CNN call, all in one buffer set of this call."""
         char_ids = np.arange(len(self.chars)) if char_ids is None else \
             np.asarray(char_ids, dtype=np.int64)
         out = np.empty((len(char_ids), self.tables.dim), dtype=self.dtype)
+        buffers = CnnBuffers()
         for lo in range(0, len(char_ids), CNN_CHUNK):
-            s, v, _, _ = self._char_factors(char_ids[lo:lo + CNN_CHUNK])
+            s, v, _, _ = self._char_factors(char_ids[lo:lo + CNN_CHUNK], buffers)
             out[lo:lo + CNN_CHUNK] = s * v
         return out
 
@@ -224,7 +228,10 @@ class DweModel:
                              negatives: np.ndarray) -> tuple[float, Grads]:
         """Summed objective and its exact gradient over a batch of pairs.
 
-        centers, contexts: (B,) ids; negatives: (B, lambda) ids.
+        centers, contexts: (B,) ids; negatives: (B, lambda) ids. The CNN
+        runs in the model's one buffer set, so calls must not overlap
+        (hogwild mode refuses the glyph channel); nothing returned aliases
+        the buffers.
         """
         centers, contexts, negatives = (np.asarray(a, dtype=np.int64)
                                         for a in (centers, contexts, negatives))
@@ -236,7 +243,7 @@ class DweModel:
         uc, inv = np.unique(centers, return_inverse=True)
         wptr, cids = _csr_rows(self.word_char_ptr, self.word_char_idx, uc)
         uchars, cpos = np.unique(cids, return_inverse=True)
-        s, v, tape, (gptr, gids) = self._char_factors(uchars)
+        s, v, tape, (gptr, gids) = self._char_factors(uchars, self._cnn_buffers)
         W = self._compose(uc, wptr, np.broadcast_to(s * v, (len(uchars), d)), cpos)
 
         # column 0 scores the positive, the rest the negatives

@@ -143,6 +143,13 @@ class Checkpoint:
                         self.cnn, self.config.use_ngrams, self.config.use_glyphs)
 
 
+def _check_hogwild(config: TrainingConfig) -> None:
+    """Hogwild mode refuses the glyph channel (README "CLI" says why): its
+    workers would race on the CNN's one buffer set and its updates."""
+    if config.mode == "hogwild" and config.use_glyphs:
+        raise ValueError("hogwild mode trains without the glyph channel; add --no-glyphs")
+
+
 def _check_resumable(old: TrainingConfig, new: TrainingConfig) -> None:
     for key in ("dim", "n_min", "n_max"):
         if getattr(old, key) != getattr(new, key):
@@ -264,8 +271,7 @@ def train(corpus_path, stroke_table_path, glyph_pack_path,
     file is left unchanged. Hogwild mode refuses the glyph channel (README
     "CLI" says why)."""
     config.validate()
-    if config.mode == "hogwild" and config.use_glyphs:
-        raise ValueError("hogwild mode trains without the glyph channel; add --no-glyphs")
+    _check_hogwild(config)
     if resume is not None:
         ckpt = load_checkpoint(resume)
         _check_resumable(ckpt.config, config)
@@ -288,8 +294,11 @@ def train(corpus_path, stroke_table_path, glyph_pack_path,
 
 
 def train_checkpoint(ckpt: Checkpoint, corpus_path, log=sys.stderr) -> Checkpoint:
-    """Run ckpt.config.epochs over the corpus, mutating ckpt in place."""
+    """Run ckpt.config.epochs over the corpus, mutating ckpt in place.
+    Hogwild mode with the glyph channel is refused before the corpus is
+    read."""
     cfg = ckpt.config
+    _check_hogwild(cfg)
     id_of = ckpt.vocab.id_of
     sentences = []
     for toks in read_sentences(corpus_path):
@@ -357,14 +366,24 @@ def _float_sections(ckpt: Checkpoint) -> list[list[tuple[object, str]]]:
 
 
 def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
+    """Write `ckpt` to fh. Glyphs or n-gram dictionary entries of characters
+    outside the vocab's registry, which `load_checkpoint` would refuse,
+    raise ValueError before any byte is written."""
+    chars = cjk_chars(ckpt.vocab.words)
+    registry = set(chars)
+    for what, held in (("glyphs", ckpt.glyphs), ("n-gram dictionary", ckpt.ngram_dict.per_char)):
+        stray = sorted(held.keys() - registry)
+        if stray:
+            raise ValueError(f"{what} of {len(stray)} characters outside the vocab's "
+                             f"registry, such as {stray[0]!r}")
+
     def write_section(payload: bytes) -> None:
         fh.write(struct.pack("<Q", len(payload)) + payload)
 
     fh.write(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
     write_section(_text(ckpt.config.to_lines()))
     write_section(_text(_vocab_lines(ckpt.vocab)))
-    write_section(_text(_ngram_dict_lines(ckpt.ngram_dict, ckpt.config,
-                                          cjk_chars(ckpt.vocab.words))))
+    write_section(_text(_ngram_dict_lines(ckpt.ngram_dict, ckpt.config, chars)))
     write_section(dump_glyph_records(ckpt.glyphs))
     for section in _float_sections(ckpt):
         arrays = [getattr(owner, attr) for owner, attr in section]

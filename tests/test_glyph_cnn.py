@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwe.glyph_cnn import (CnnParams, _pool, _unpool, cnn_backward_batch,
+from dwe.glyph_cnn import (CnnBuffers, CnnParams, _pool, _unpool, cnn_backward_batch,
                            cnn_forward_batch, cnn_init, cnn_shapes)
 from helpers import check_grad_tensor
 
@@ -126,6 +126,61 @@ class TestBackward:
         for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
             worst = check_grad_tensor(p, g, loss, rng, max_coords=15)
             assert worst < 1e-4, f"{name}: rel err {worst}"
+
+
+class TestBuffers:
+    def test_reused_set_matches_fresh_calls(self):
+        # batches larger and smaller than the set has seen leave nothing
+        # behind: features and all ten gradients are bit-equal to a fresh set's
+        params = cnn_init(6, 7)
+        rng = np.random.default_rng(9)
+        buffers = CnnBuffers()
+        for b in (5, 33, 7, 44, 1):
+            bitmaps = rng.integers(0, 2, (b, 28, 28)).astype(np.float32)
+            go = rng.normal(0, 1, (b, 7)).astype(np.float32)
+            feat, tape = cnn_forward_batch(params, bitmaps, buffers)
+            grads = cnn_backward_batch(params, tape, go)
+            fresh_feat, fresh_tape = cnn_forward_batch(params, bitmaps)
+            fresh = cnn_backward_batch(params, fresh_tape, go)
+            assert feat.tobytes() == fresh_feat.tobytes()
+            for (name, g), (_, f) in zip(grads.tensors(), fresh.tensors()):
+                assert g.dtype == f.dtype and g.tobytes() == f.tobytes(), (b, name)
+            if b == 44:
+                grown = buffers.nbytes
+        assert buffers.nbytes == grown  # the largest batch sized the set
+
+    def test_results_do_not_alias_the_set(self):
+        params = cnn_init(2, 4)
+        buffers = CnnBuffers()
+        feat, tape = cnn_forward_batch(params, random_bitmap(4)[None], buffers)
+        grads = cnn_backward_batch(params, tape, np.ones((1, 4), np.float32))
+        arrays = list(buffers._arrays.values())
+        for _, g in [("feature", feat)] + grads.tensors():
+            assert not any(np.shares_memory(g, a) for a in arrays)
+
+    def test_stale_tape_refused(self):
+        params = cnn_init(3, 4)
+        buffers = CnnBuffers()
+        _, first = cnn_forward_batch(params, random_bitmap(5)[None], buffers)
+        _, second = cnn_forward_batch(params, random_bitmap(6)[None], buffers)
+        go = np.ones((1, 4), np.float32)
+        with pytest.raises(ValueError, match="stale"):
+            cnn_backward_batch(params, first, go)
+        cnn_backward_batch(params, second, go)
+        with pytest.raises(ValueError, match="stale"):  # it overwrote pre1, pre2 and col2
+            cnn_backward_batch(params, second, go)
+
+
+def test_unpool_in_place_matches_out_of_place():
+    # small integers tie within windows, so the first-position rule is exercised
+    rng = np.random.default_rng(4)
+    pre = rng.integers(-2, 3, (3, 8, 8, 5)).astype(np.float32)
+    pooled = _pool(pre)
+    dmax = rng.normal(0, 1, pooled.shape).astype(np.float32)
+    want = _unpool(dmax, pre, pooled)
+    got = _unpool(dmax, pre, pooled, out=pre)
+    assert got is pre
+    assert got.tobytes() == want.tobytes()
 
 
 def relu_pool_grad(x):

@@ -1,10 +1,13 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from dwe import model as model_module
 from dwe.corpus import Vocab
-from dwe.glyph_cnn import cnn_forward_batch, cnn_init
+from dwe.glyph_cnn import CnnTape, cnn_forward_batch, cnn_init
 from dwe.model import (ADAGRAD_BLOCK, DweModel, adagrad_step, adagrad_step_rows,
                        init_tables, log_sigmoid, sigmoid)
 from dwe.morphology import build_ngram_dict
@@ -200,6 +203,49 @@ def test_batch_gradients_every_channel_setting(use_ngrams, use_glyphs):
     for name, p, g in params:
         worst = check_grad_tensor(p, g, loss_fn, rng, max_coords=12)
         assert worst < 1e-4, f"{name}: rel err {worst}"
+
+
+class TestStepBuffers:
+    """batch_loss_and_grads runs the CNN in the model's one buffer set."""
+
+    @staticmethod
+    def batch(centers, seed):
+        centers = np.asarray(centers)
+        rng = np.random.default_rng(seed)
+        return centers, (centers + 1) % 8, rng.integers(0, 8, (len(centers), 3))
+
+    @staticmethod
+    def arrays(grads):
+        return [getattr(grads, f.name) for f in dataclasses.fields(grads)
+                if f.name != "cnn"] + [t for _, t in grads.cnn.tensors()]
+
+    def test_results_survive_the_next_step(self):
+        m = make_micro_model(seed=5, n_words=8, dtype=np.float32)
+        _, grads = m.batch_loss_and_grads(*self.batch(np.arange(8), 0))
+        kept = copy.deepcopy(grads)
+        m.batch_loss_and_grads(*self.batch([1, 6, 6], 1))
+        for got, want in zip(self.arrays(grads), self.arrays(kept), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_consecutive_steps_share_the_tape_memory(self, monkeypatch):
+        tapes = []
+
+        def recording(params, bitmaps, buffers=None):
+            feat, tape = cnn_forward_batch(params, bitmaps, buffers)
+            tapes.append(tape)
+            return feat, tape
+
+        monkeypatch.setattr(model_module, "cnn_forward_batch", recording)
+        m = make_micro_model(seed=6, n_words=8, dtype=np.float32)
+        m.batch_loss_and_grads(*self.batch(np.arange(8), 2))
+        m.batch_loss_and_grads(*self.batch([2, 3], 3))
+        first, second = tapes
+        assert len(second.flat) < len(first.flat)
+        arrays = [f.name for f in dataclasses.fields(CnnTape)
+                  if isinstance(getattr(first, f.name), np.ndarray)]
+        assert len(arrays) == 11
+        for name in arrays:
+            assert np.shares_memory(getattr(first, name), getattr(second, name)), name
 
 
 class TestSkipGramDegeneracy:

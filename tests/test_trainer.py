@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dwe import trainer as trainer_module
 from dwe.cli import run
 from dwe.corpus import NegativeSampler, Vocab, context_pairs
 from dwe.evaluation import Evaluator
@@ -17,7 +18,7 @@ from dwe.morphology import StrokeNgramDict, dump_glyph_records
 from dwe.trainer import (CheckpointError, ConfigMismatchError, TrainingConfig,
                          TrainingDivergedError, _epoch_batches, apply_grads, dump_checkpoint,
                          export_vectors, init_checkpoint, load_checkpoint, load_vectors,
-                         save_checkpoint, train)
+                         save_checkpoint, train, train_checkpoint)
 from helpers import handmade_checkpoint
 
 
@@ -179,6 +180,23 @@ class TestTrain:
             with pytest.raises(ValueError, match="--no-glyphs"):
                 train(missing, missing, missing, cfg, resume=resume, log=None)
         assert p.read_bytes() == before
+
+    def test_train_checkpoint_refuses_hogwild_glyphs(self, synth_data, tmp_path):
+        # refused before the corpus is read, with train's error
+        ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
+                     synth_data.glyphs_path, small_config(epochs=0), log=None)
+        cfg = small_config(mode="hogwild", threads=2)
+        with pytest.raises(ValueError, match="--no-glyphs") as from_train:
+            train(synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path,
+                  cfg, log=None)
+        ckpt.config = cfg
+        with pytest.raises(ValueError, match="--no-glyphs") as refused:
+            train_checkpoint(ckpt, tmp_path / "missing", log=None)
+        assert str(refused.value) == str(from_train.value)
+        assert (ckpt.epoch, ckpt.step) == (0, 0)
+        ckpt.config = replace(cfg, use_glyphs=False)
+        train_checkpoint(ckpt, synth_data.corpus_path, log=None)
+        assert ckpt.step > 0
 
     def test_subsample_one_keeps_every_pair(self, synth_data):
         off, _ = train_logged(synth_data, small_config())
@@ -544,6 +562,27 @@ class TestCheckpointIO:
             save_checkpoint(replace(trained, cnn=bad_cnn), p)
         assert p.read_bytes() == old
         assert os.listdir(tmp_path) == ["m.dwe"]
+
+    @pytest.mark.parametrize("holder", ["glyphs", "per_char"])
+    def test_save_refuses_characters_outside_the_registry(self, tmp_path, holder):
+        # `load_checkpoint` would refuse the file, so no byte of it is written
+        ckpt = handmade_checkpoint()
+        p = tmp_path / "m.dwe"
+        save_checkpoint(ckpt, p)
+        old = p.read_bytes()
+        if holder == "glyphs":
+            ckpt.glyphs = {**ckpt.glyphs, "字": ckpt.glyphs["中"]}
+        else:
+            per_char = {**ckpt.ngram_dict.per_char, "字": [0]}
+            ckpt.ngram_dict = replace(ckpt.ngram_dict, per_char=per_char)
+        with pytest.raises(ValueError, match="outside the vocab's registry, such as '字'"):
+            save_checkpoint(ckpt, p)
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.dwe"]
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match="outside the vocab's registry"):
+            trainer_module._write_checkpoint(ckpt, fh)
+        assert fh.getvalue() == b""
 
     def test_save_and_load_memory(self, tmp_path):
         V, G = 1500, 3000
