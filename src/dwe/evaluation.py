@@ -38,6 +38,8 @@ def load_similarity_dataset(path) -> list[SimilarityRecord]:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected word_a<TAB>word_b<TAB>score")
             records.append(SimilarityRecord(parts[0], parts[1], float(parts[2])))
+            if not np.isfinite(records[-1].human_score):
+                raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
     if len(records) < 2:
         raise ValueError(f"{path}: need >= 2 records for rank correlation")
     return records
@@ -76,12 +78,14 @@ def _fractional_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def spearman_rho(xs, ys) -> float:
-    """Pearson correlation of fractional ranks."""
+    """Pearson correlation of fractional ranks; a nan or inf raises ValueError."""
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("spearman_rho needs two equal-length 1-D sequences")
     if len(xs) < 2:
         raise ValueError("need at least 2 observations")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("spearman_rho needs finite values")
     rx, ry = _fractional_ranks(xs), _fractional_ranks(ys)
     rx -= rx.mean()
     ry -= ry.mean()

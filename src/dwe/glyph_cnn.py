@@ -169,11 +169,10 @@ def _quadrants(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, r::2, c::2] for r in (0, 1) for c in (0, 1)]
 
 
-def _pool(a: np.ndarray, buffers: CnnBuffers | None = None, layer: int = 1) -> np.ndarray:
+def _pool(a: np.ndarray, buffers: CnnBuffers, layer: int) -> np.ndarray:
     """2x2 max pooling of a (B, H, W, C) into buffer `max{layer}` of
-    `buffers` (a fresh set by default); buffer `tmp` takes the maximum of
-    the lower two positions of each window."""
-    buffers = CnnBuffers() if buffers is None else buffers
+    `buffers`; buffer `tmp` takes the maximum of the lower two positions
+    of each window."""
     q = _quadrants(a)
     out = np.maximum(q[0], q[1], out=buffers.take(f"max{layer}", q[0].shape, a.dtype))
     lower = np.maximum(q[2], q[3], out=buffers.take("tmp", q[0].shape, a.dtype))
@@ -181,14 +180,11 @@ def _pool(a: np.ndarray, buffers: CnnBuffers | None = None, layer: int = 1) -> n
 
 
 def _unpool(dmax: np.ndarray, pre: np.ndarray, pooled: np.ndarray,
-            out: np.ndarray | None = None, buffers: CnnBuffers | None = None) -> np.ndarray:
+            out: np.ndarray, buffers: CnnBuffers) -> np.ndarray:
     """Route dmax to the first row-major position of each window of pre
     that equals its max `pooled`; every other position gets zero. The
-    result goes into out (a fresh array by default), which may be pre
-    itself: each quadrant is compared before it is written. The masks use
-    `buffers` (a fresh set by default)."""
-    out = np.empty(pre.shape, dtype=dmax.dtype) if out is None else out
-    buffers = CnnBuffers() if buffers is None else buffers
+    result goes into out, which may be pre itself: each quadrant is
+    compared before it is written. The masks use `buffers`."""
     free = buffers.take("free", pooled.shape, bool)
     hit = buffers.take("hit", pooled.shape, bool)
     free.fill(True)
@@ -292,11 +288,11 @@ def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray
     # once dead, pre2, col2 and pre1 take the gradients of their shapes
     dmax2 = np.multiply(dflat.reshape(-1, 16, 4, 4).transpose(0, 2, 3, 1), tape.max2 > 0,
                         out=take_like("dmax2", tape.max2))
-    dpre2 = _unpool(dmax2, tape.pre2, tape.max2, out=tape.pre2, buffers=buffers)
+    dpre2 = _unpool(dmax2, tape.pre2, tape.max2, tape.pre2, buffers)
     dconv2_w, dconv2_b = _conv_grads(dpre2, tape.col2, params.conv2_w, buffers)
     dmax1 = _conv_input_grad(dpre2, params.conv2_w, tape.col2, take_like("dmax1", tape.max1))
     dmax1 *= tape.max1 > 0
-    dpre1 = _unpool(dmax1, tape.pre1, tape.max1, out=tape.pre1, buffers=buffers)
+    dpre1 = _unpool(dmax1, tape.pre1, tape.max1, tape.pre1, buffers)
     dconv1_w, dconv1_b = _conv_grads(dpre1, tape.col1, params.conv1_w, buffers)
 
     return CnnParams(dconv1_w, dconv1_b, dconv2_w, dconv2_b,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,10 +97,11 @@ class EmbeddingTables:
     def dim(self) -> int:
         return self.word_id_vecs.shape[1]
 
+    def zeros_like(self) -> "EmbeddingTables":
+        return EmbeddingTables(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
+
     def astype(self, dtype) -> "EmbeddingTables":
-        return EmbeddingTables(self.word_id_vecs.astype(dtype),
-                               self.context_vecs.astype(dtype),
-                               self.ngram_vecs.astype(dtype))
+        return EmbeddingTables(*(getattr(self, f.name).astype(dtype) for f in fields(self)))
 
 
 def init_tables(vocab_size: int, n_ngrams: int, d: int, seed: int, dtype=np.float32) -> EmbeddingTables:
@@ -286,18 +287,18 @@ class DweModel:
 # -- adagrad -------------------------------------------------------------
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, accumulator: np.ndarray,
-                 lr: float, eps: float = ADAGRAD_EPS) -> None:
-    """In-place ascent step: acc += grad^2; param += lr*grad/(sqrt(acc)+eps)."""
+                 lr: float) -> None:
+    """In-place ascent step: acc += grad^2; param += lr*grad/(sqrt(acc)+ADAGRAD_EPS)."""
     if param.shape != grad.shape or param.shape != accumulator.shape:
         raise ValueError("shape mismatch in adagrad_step")
     if not 0 < lr < math.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
     accumulator += grad * grad
-    param += lr * grad / (np.sqrt(accumulator) + eps)
+    param += lr * grad / (np.sqrt(accumulator) + ADAGRAD_EPS)
 
 
 def adagrad_step_rows(param: np.ndarray, accumulator: np.ndarray, ids: np.ndarray,
-                      grad_rows: np.ndarray, lr: float, eps: float = ADAGRAD_EPS) -> None:
+                      grad_rows: np.ndarray, lr: float) -> None:
     """adagrad_step on rows ids of param and accumulator, grad_rows[k] being
     the gradient of row ids[k]. ids must be strictly increasing, as np.unique
     returns them: with a repeated id the row assignment would keep only one of
@@ -328,7 +329,7 @@ def adagrad_step_rows(param: np.ndarray, accumulator: np.ndarray, ids: np.ndarra
         acc += step
         accumulator[i] = acc
         np.sqrt(acc, out=acc)
-        acc += eps
+        acc += ADAGRAD_EPS
         np.multiply(lr, g, out=step)
         step /= acc
-        param[i] += step                  # lr * g / (sqrt(acc) + eps)
+        param[i] += step                  # lr * g / (sqrt(acc) + ADAGRAD_EPS)

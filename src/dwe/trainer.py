@@ -22,7 +22,7 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -109,29 +109,17 @@ class TrainingConfig:
 
 
 @dataclass
-class Accumulators:
-    word_id: np.ndarray
-    context: np.ndarray
-    ngram: np.ndarray
-    cnn: CnnParams
-
-    @classmethod
-    def zeros(cls, tables: EmbeddingTables, cnn: CnnParams) -> "Accumulators":
-        return cls(np.zeros_like(tables.word_id_vecs),
-                   np.zeros_like(tables.context_vecs),
-                   np.zeros_like(tables.ngram_vecs),
-                   cnn.zeros_like())
-
-
-@dataclass
 class Checkpoint:
+    """A model and its training state; `accum` and `cnn_accum` hold the
+    Adagrad accumulators of `tables` and `cnn`, array for array."""
     config: TrainingConfig
     vocab: Vocab
     ngram_dict: StrokeNgramDict
     glyphs: dict[str, np.ndarray]
     tables: EmbeddingTables
     cnn: CnnParams
-    accum: Accumulators
+    accum: EmbeddingTables
+    cnn_accum: CnnParams
     epoch: int = 0
     step: int = 0
     # per-epoch mean objective from the most recent training run; in-memory
@@ -163,18 +151,18 @@ def init_checkpoint(vocab: Vocab, ngram_dict: StrokeNgramDict,
     tables = init_tables(len(vocab), len(ngram_dict), config.dim, config.seed)
     cnn = cnn_init(config.seed + 1, config.dim)
     return Checkpoint(config, vocab, ngram_dict, glyphs, tables, cnn,
-                      Accumulators.zeros(tables, cnn))
+                      tables.zeros_like(), cnn.zeros_like())
 
 
 def apply_grads(ckpt: Checkpoint, grads, lr: float) -> None:
     """Adagrad, in place, on the touched embedding rows and on the CNN."""
     t, a = ckpt.tables, ckpt.accum
-    adagrad_step_rows(t.word_id_vecs, a.word_id, grads.word_id_ids, grads.word_id_rows, lr)
-    adagrad_step_rows(t.context_vecs, a.context, grads.context_ids, grads.context_rows, lr)
-    adagrad_step_rows(t.ngram_vecs, a.ngram, grads.ngram_ids, grads.ngram_rows, lr)
+    adagrad_step_rows(t.word_id_vecs, a.word_id_vecs, grads.word_id_ids, grads.word_id_rows, lr)
+    adagrad_step_rows(t.context_vecs, a.context_vecs, grads.context_ids, grads.context_rows, lr)
+    adagrad_step_rows(t.ngram_vecs, a.ngram_vecs, grads.ngram_ids, grads.ngram_rows, lr)
     if grads.cnn is not None:
         for (_, p), (_, g), (_, acc) in zip(ckpt.cnn.tensors(), grads.cnn.tensors(),
-                                            a.cnn.tensors()):
+                                            ckpt.cnn_accum.tensors()):
             adagrad_step(p, g, acc, lr)
 
 
@@ -356,13 +344,10 @@ def _counter_lines(counters: tuple[int, int]) -> list[str]:
 
 
 def _float_sections(ckpt: Checkpoint) -> list[list[tuple[object, str]]]:
-    """The tables, CNN and accumulator sections, each a list of the (owner,
-    attribute) of its arrays in file order. Arrays are stored as `<f4`."""
-    t, a = ckpt.tables, ckpt.accum
-    return [[(t, "word_id_vecs"), (t, "context_vecs"), (t, "ngram_vecs")],
-            [(ckpt.cnn, f.name) for f in fields(CnnParams)],
-            [(a, "word_id"), (a, "context"), (a, "ngram")]
-            + [(a.cnn, f.name) for f in fields(CnnParams)]]
+    """The tables, CNN and accumulator sections as (owner, field) lists in file
+    order: fields in declared order, the tables' accumulators before the CNN's."""
+    return [[(g, f.name) for g in groups for f in fields(g)]
+            for groups in ((ckpt.tables,), (ckpt.cnn,), (ckpt.accum, ckpt.cnn_accum))]
 
 
 def _write_checkpoint(ckpt: Checkpoint, fh) -> None:
@@ -472,12 +457,11 @@ def load_checkpoint(path) -> Checkpoint:
         d = config.dim
         if 4 * d > end:
             raise CheckpointError(f"{name}: dim={d} is larger than the file can hold")
-        rows = [np.broadcast_to(np.float32(0), (n, d))
-                for n in (len(vocab), len(vocab), len(ngram_dict))]
-        cnn, cnn_accum = (CnnParams(*(np.broadcast_to(np.float32(0), s) for s in cnn_shapes(d)))
-                          for _ in range(2))
-        ckpt = Checkpoint(config, vocab, ngram_dict, glyphs, EmbeddingTables(*rows), cnn,
-                          Accumulators(*rows, cnn_accum))
+        tables = EmbeddingTables(*(np.broadcast_to(np.float32(0), (n, d))
+                                   for n in (len(vocab), len(vocab), len(ngram_dict))))
+        cnn = CnnParams(*(np.broadcast_to(np.float32(0), s) for s in cnn_shapes(d)))
+        ckpt = Checkpoint(config, vocab, ngram_dict, glyphs, tables, cnn,
+                          replace(tables), replace(cnn))
         for section in _float_sections(ckpt):
             size = section_size()
             want = 4 * sum(getattr(owner, attr).size for owner, attr in section)
@@ -555,22 +539,3 @@ def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
         fh.write(f"{len(ckpt.vocab)} {ckpt.config.dim}\n")
         for token, vec in zip(ckpt.vocab.words, rows):
             fh.write(token + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
-
-
-def load_vectors(path) -> tuple[list[str], np.ndarray]:
-    """Read the word2vec text format back; returns (tokens, matrix)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad vector-file header")
-        v, d = int(header[0]), int(header[1])
-        tokens, rows = [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != d + 1:
-                raise ValueError(f"{path}: row has {len(parts) - 1} values, expected {d}")
-            tokens.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
-    if len(tokens) != v:
-        raise ValueError(f"{path}: header says {v} rows, found {len(tokens)}")
-    return tokens, np.array(rows, dtype=np.float64)

@@ -10,7 +10,7 @@ from dwe.corpus import Vocab
 from dwe.glyph_cnn import CnnParams, cnn_init, cnn_shapes
 from dwe.model import DweModel, EmbeddingTables, init_tables
 from dwe.morphology import StrokeNgramDict, build_ngram_dict
-from dwe.trainer import Accumulators, Checkpoint, TrainingConfig
+from dwe.trainer import Checkpoint, TrainingConfig
 
 CJK_BASE = 0x4E00
 
@@ -165,6 +165,25 @@ def handmade_checkpoint():
     V, G, d = len(vocab), len(ngram_dict), cfg.dim
     tables = EmbeddingTables(filled((V, d)), filled((V, d)), filled((G, d)))
     params = cnn()
-    accum = Accumulators(filled((V, d)), filled((V, d)), filled((G, d)), cnn())
-    return Checkpoint(cfg, vocab, ngram_dict, glyphs, tables, params, accum,
+    accum = EmbeddingTables(filled((V, d)), filled((V, d)), filled((G, d)))
+    return Checkpoint(cfg, vocab, ngram_dict, glyphs, tables, params, accum, cnn(),
                       epoch=2, step=17)
+
+
+def load_vectors(path) -> tuple[list[str], np.ndarray]:
+    """Read the word2vec text format back; returns (tokens, matrix)."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{path}: bad vector-file header")
+        v, d = int(header[0]), int(header[1])
+        tokens, rows = [], []
+        for line in fh:
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != d + 1:
+                raise ValueError(f"{path}: row has {len(parts) - 1} values, expected {d}")
+            tokens.append(parts[0])
+            rows.append([float(x) for x in parts[1:]])
+    if len(tokens) != v:
+        raise ValueError(f"{path}: header says {v} rows, found {len(tokens)}")
+    return tokens, np.array(rows, dtype=np.float64)

@@ -19,8 +19,8 @@ from dwe.morphology import (extract_ngrams, is_cjk, pack_bitmap,
                             parse_glyph_pack, dump_glyph_pack, unpack_bitmap)
 from dwe.synthetic import make_synthetic_dataset
 from dwe.trainer import (TrainingConfig, dump_checkpoint, export_vectors,
-                         load_checkpoint, load_vectors, save_checkpoint, train)
-from helpers import (brute_3cosadd, brute_3cosmul, check_grad_tensor,
+                         load_checkpoint, save_checkpoint, train)
+from helpers import (brute_3cosadd, brute_3cosmul, check_grad_tensor, load_vectors,
                      make_micro_model, sgns_reference_adagrad,
                      sgns_reference_batch)
 
@@ -94,9 +94,9 @@ def test_criterion_2_skipgram_degeneracy():
                                                 contexts, negatives)
         worst_loss = max(worst_loss, abs(loss - ref_loss))
         adagrad_step_rows(model.tables.word_id_vecs, acc_w,
-                          grads.word_id_ids, grads.word_id_rows, lr, eps)
+                          grads.word_id_ids, grads.word_id_rows, lr)
         adagrad_step_rows(model.tables.context_vecs, acc_c,
-                          grads.context_ids, grads.context_rows, lr, eps)
+                          grads.context_ids, grads.context_rows, lr)
         for r in range(6):  # dense reference update, touched rows only
             if np.any(gw[r]):
                 sgns_reference_adagrad(ref_w[r], gw[r], ref_acc_w[r], lr, eps)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dwe.cli import run
-from dwe.trainer import TrainingConfig, load_checkpoint, load_vectors
+from dwe.trainer import TrainingConfig, load_checkpoint
+from helpers import load_vectors
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,16 @@ class TestPipeline:
         assert fields[0] == "spearman_rho"
         assert -1.0 <= float(fields[2]) <= 1.0
         assert float(fields[3]) == 1.0
+
+    def test_eval_sim_non_finite_score_is_error(self, model_path, tmp_path, capsys):
+        words = load_checkpoint(model_path).vocab.words
+        data = tmp_path / "ws.tsv"
+        data.write_text(f"{words[0]}\t{words[1]}\t1.0\n{words[2]}\t{words[3]}\tinf\n",
+                        encoding="utf-8")
+        assert run(["eval-sim", "--model", str(model_path), "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert f"{data}:2: score 'inf' is not finite" in captured.err
+        assert captured.out == ""
 
     def test_eval_analogy_json(self, model_path, tmp_path, capsys):
         import json

@@ -51,6 +51,14 @@ class TestSpearman:
         with pytest.raises(ValueError):
             spearman_rho([1, 1, 1], [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_non_finite_rejected(self, bad, side):
+        clean, dirty = [0.1, 0.2, 0.3, 0.4], [bad, 1.0, 2.0, 3.0]
+        xs, ys = (dirty, clean) if side == "xs" else (clean, dirty)
+        with pytest.raises(ValueError, match="finite"):
+            spearman_rho(xs, ys)
+
     @given(st.lists(st.integers(-1000, 1000), min_size=3, max_size=20, unique=True),
            st.floats(0.5, 5), st.floats(-10, 10))
     def test_invariant_under_increasing_transform(self, xs, scale, shift):
@@ -261,6 +269,13 @@ class TestDatasetLoaders:
         p = tmp_path / "ws.tsv"
         p.write_text("no tabs here\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_similarity_dataset(p)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+    def test_similarity_loader_non_finite_score(self, tmp_path, score):
+        p = tmp_path / "ws.tsv"
+        p.write_text(f"你好\t再见\t3.5\n# note\n早\t晚\t{score}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"ws.tsv:3: score '{score}' is not finite"):
             load_similarity_dataset(p)
 
     def test_analogy_loader(self, tmp_path):

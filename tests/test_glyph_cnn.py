@@ -175,10 +175,10 @@ def test_unpool_in_place_matches_out_of_place():
     # small integers tie within windows, so the first-position rule is exercised
     rng = np.random.default_rng(4)
     pre = rng.integers(-2, 3, (3, 8, 8, 5)).astype(np.float32)
-    pooled = _pool(pre)
+    pooled = _pool(pre, CnnBuffers(), 1)
     dmax = rng.normal(0, 1, pooled.shape).astype(np.float32)
-    want = _unpool(dmax, pre, pooled)
-    got = _unpool(dmax, pre, pooled, out=pre)
+    want = _unpool(dmax, pre, pooled, np.empty_like(pre), CnnBuffers())
+    got = _unpool(dmax, pre, pooled, pre, CnnBuffers())
     assert got is pre
     assert got.tobytes() == want.tobytes()
 
@@ -186,9 +186,10 @@ def test_unpool_in_place_matches_out_of_place():
 def relu_pool_grad(x):
     """Input gradient of sum(ReLU(maxpool(x))) for NHWC x, and of
     sum(maxpool(x)), as cnn_backward_batch routes them."""
-    pooled = _pool(x)
+    pooled = _pool(x, CnnBuffers(), 1)
     ones = np.ones_like(pooled)
-    return _unpool(ones * (pooled > 0), x, pooled), _unpool(ones, x, pooled)
+    return (_unpool(ones * (pooled > 0), x, pooled, np.empty_like(x), CnnBuffers()),
+            _unpool(ones, x, pooled, np.empty_like(x), CnnBuffers()))
 
 
 def windows(a):
@@ -202,7 +203,7 @@ def test_maxpool_gradient_sparsity():
     # the ReLU after pooling, a window with no positive entry receives none
     x = np.random.default_rng(0).normal(0, 1, (1, 8, 8, 3))
     x[0, 2:4, 4:6, 1] = -1.0 - np.abs(x[0, 2:4, 4:6, 1])
-    np.testing.assert_array_equal(_pool(x).reshape(-1), windows(x).max(axis=1))
+    np.testing.assert_array_equal(_pool(x, CnnBuffers(), 1).reshape(-1), windows(x).max(axis=1))
     with_relu, without_relu = relu_pool_grad(x)
     assert ((windows(without_relu) != 0).sum(axis=1) == 1).all()
     np.testing.assert_array_equal((windows(without_relu) != 0).argmax(axis=1),

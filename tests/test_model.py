@@ -267,9 +267,9 @@ class TestSkipGramDegeneracy:
             loss, grads = m.batch_loss_and_grads(centers, contexts, negs)
             assert grads.cnn is None and len(grads.ngram_ids) == 0
             adagrad_step_rows(m.tables.word_id_vecs, acc_w, grads.word_id_ids,
-                              grads.word_id_rows, lr, eps)
+                              grads.word_id_rows, lr)
             adagrad_step_rows(m.tables.context_vecs, acc_c, grads.context_ids,
-                              grads.context_rows, lr, eps)
+                              grads.context_rows, lr)
 
             ref_loss, gw, gc = sgns_reference_batch(ref_w, ref_c, centers,
                                                     contexts, negs)
@@ -292,7 +292,7 @@ class TestAdagrad:
     def test_scalar_formula(self):
         p = np.array([0.0])
         acc = np.array([0.0])
-        adagrad_step(p, np.array([3.0]), acc, lr=0.05, eps=1e-8)
+        adagrad_step(p, np.array([3.0]), acc, lr=0.05)
         assert abs(p[0] - 0.05 * 3.0 / (3.0 + 1e-8)) < 1e-12
 
     def test_steps_shrink(self):
@@ -342,7 +342,7 @@ class TestAdagrad:
         sgns_reference_adagrad(ref_p, grad, ref_acc, lr, eps)
         rest = np.setdiff1d(np.arange(rows), ids)
         rest_p, rest_acc = param[rest].tobytes(), acc[rest].tobytes()
-        adagrad_step_rows(param, acc, ids, grad, lr, eps)
+        adagrad_step_rows(param, acc, ids, grad, lr)
         np.testing.assert_array_equal(param[ids], ref_p)
         np.testing.assert_array_equal(acc[ids], ref_acc)
         assert param[rest].tobytes() == rest_p and acc[rest].tobytes() == rest_acc

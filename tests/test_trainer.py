@@ -3,7 +3,7 @@ import io
 import os
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,13 +13,13 @@ from dwe.cli import run
 from dwe.corpus import NegativeSampler, Vocab, context_pairs
 from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams
-from dwe.model import ADAGRAD_EPS, Grads
+from dwe.model import ADAGRAD_EPS, EmbeddingTables, Grads
 from dwe.morphology import StrokeNgramDict, dump_glyph_records
 from dwe.trainer import (CheckpointError, ConfigMismatchError, TrainingConfig,
                          TrainingDivergedError, _epoch_batches, apply_grads, dump_checkpoint,
-                         export_vectors, init_checkpoint, load_checkpoint, load_vectors,
+                         export_vectors, init_checkpoint, load_checkpoint,
                          save_checkpoint, train, train_checkpoint)
-from helpers import handmade_checkpoint
+from helpers import handmade_checkpoint, load_vectors
 
 
 def small_config(**kw):
@@ -43,7 +43,19 @@ def trained_arrays(ckpt):
     """The tables, CNN tensors and accumulators of `ckpt`."""
     t, acc = ckpt.tables, ckpt.accum
     return [t.word_id_vecs, t.context_vecs, t.ngram_vecs, *(a for _, a in ckpt.cnn.tensors()),
-            acc.word_id, acc.context, acc.ngram, *(a for _, a in acc.cnn.tensors())]
+            acc.word_id_vecs, acc.context_vecs, acc.ngram_vecs,
+            *(a for _, a in ckpt.cnn_accum.tensors())]
+
+
+def assert_accumulators_fit(ckpt):
+    """`ckpt.accum` and `ckpt.cnn_accum` hold one writable `<f4` array of
+    the shape of each array of `tables` and `cnn`."""
+    for params, accum in ((ckpt.tables, ckpt.accum), (ckpt.cnn, ckpt.cnn_accum)):
+        assert type(accum) is type(params)
+        for f in fields(params):
+            p, a = getattr(params, f.name), getattr(accum, f.name)
+            assert a.shape == p.shape and a.dtype == p.dtype == np.dtype("<f4")
+            assert a.flags.writeable and not np.shares_memory(a, p)
 
 
 def split_sections(blob):
@@ -75,7 +87,7 @@ class TestTrain:
         ckpt = train(synth_data.corpus_path, synth_data.strokes_path,
                      synth_data.glyphs_path, cfg, log=None)
         assert ckpt.epoch == 0 and ckpt.step == 0
-        assert (ckpt.accum.word_id == 0).all()
+        assert (ckpt.accum.word_id_vecs == 0).all()
         assert (ckpt.tables.context_vecs == 0).all()
 
     def test_deterministic_same_seed_identical(self, synth_data):
@@ -116,9 +128,9 @@ class TestTrain:
                     synth_data.glyphs_path, cfg, log=None)
         ck2 = train(synth_data.corpus_path, synth_data.strokes_path,
                     synth_data.glyphs_path, small_config(epochs=2), log=None)
-        assert (ck2.accum.word_id >= ck1.accum.word_id - 1e-7).all()
-        assert (ck2.accum.context >= ck1.accum.context - 1e-7).all()
-        assert (ck2.accum.ngram >= ck1.accum.ngram - 1e-7).all()
+        assert (ck2.accum.word_id_vecs >= ck1.accum.word_id_vecs - 1e-7).all()
+        assert (ck2.accum.context_vecs >= ck1.accum.context_vecs - 1e-7).all()
+        assert (ck2.accum.ngram_vecs >= ck1.accum.ngram_vecs - 1e-7).all()
 
     def test_hogwild_runs(self, synth_data):
         # more workers than cores and a short switch interval: a lost update
@@ -237,11 +249,11 @@ class TestTrain:
                       CnnParams(*(np.full_like(t, g) for _, t in ckpt.cnn.tensors())))
         held = dict(ckpt.cnn.tensors())
         values = {name: t.copy() for name, t in held.items()}
-        acc = {name: t + g * g for name, t in ckpt.accum.cnn.tensors()}
+        acc = {name: t + g * g for name, t in ckpt.cnn_accum.tensors()}
         apply_grads(ckpt, grads, lr)
         for name, new in ckpt.cnn.tensors():
             assert new is held[name]
-            np.testing.assert_array_equal(getattr(ckpt.accum.cnn, name), acc[name])
+            np.testing.assert_array_equal(getattr(ckpt.cnn_accum, name), acc[name])
             step = lr * g / (np.sqrt(acc[name]) + ADAGRAD_EPS)
             np.testing.assert_allclose(new, values[name] + step, rtol=1e-12)
 
@@ -304,11 +316,23 @@ class TestCheckpointIO:
         assert back.epoch == trained.epoch and back.step == trained.step
         np.testing.assert_array_equal(
             back.tables.word_id_vecs, trained.tables.word_id_vecs)
-        np.testing.assert_array_equal(back.accum.context, trained.accum.context)
+        np.testing.assert_array_equal(back.accum.context_vecs, trained.accum.context_vecs)
         for (_, a), (_, b) in zip(back.cnn.tensors(), trained.cnn.tensors()):
             np.testing.assert_array_equal(a, b)
         for ch in trained.glyphs:
             np.testing.assert_array_equal(back.glyphs[ch], trained.glyphs[ch])
+        h = handmade_checkpoint()
+        for ckpt in (init_checkpoint(h.vocab, h.ngram_dict, h.glyphs, h.config), back):
+            assert_accumulators_fit(ckpt)
+
+    def test_tables_zeros_like_is_fresh(self):
+        tables = handmade_checkpoint().tables
+        zeros = tables.zeros_like()
+        held = [getattr(tables, f.name) for f in fields(EmbeddingTables)]
+        for f, t in zip(fields(EmbeddingTables), held):
+            z = getattr(zeros, f.name)
+            assert z.shape == t.shape and z.dtype == t.dtype and not z.any()
+            assert not any(np.shares_memory(z, a) for a in held)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.dwe"
