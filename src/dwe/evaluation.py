@@ -37,9 +37,13 @@ def load_similarity_dataset(path) -> list[SimilarityRecord]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected word_a<TAB>word_b<TAB>score")
-            records.append(SimilarityRecord(parts[0], parts[1], float(parts[2])))
-            if not np.isfinite(records[-1].human_score):
+            try:
+                score = float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not a number") from None
+            if not np.isfinite(score):
                 raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
+            records.append(SimilarityRecord(parts[0], parts[1], score))
     if len(records) < 2:
         raise ValueError(f"{path}: need >= 2 records for rank correlation")
     return records

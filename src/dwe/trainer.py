@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import mmap
 import os
 import struct
 import sys
@@ -402,6 +403,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read the checkpoint at `path`; a malformed file is a CheckpointError.
+
+    The file is mapped copy-on-write (`mmap.ACCESS_COPY`) and each array of
+    `tables` and `accum` is a view of the mapping, so pages no one reads
+    (the context table and the accumulators, in evaluation and export) are
+    never brought into memory. Training may write every array; the file
+    stays unchanged. The arrays of `cnn` and `cnn_accum` are copied out:
+    v1 float payloads start at arbitrary byte offsets, so a view is in
+    general not 4-byte aligned, and numpy computes on unaligned operands by
+    other paths with other rounding, which made a resumed run's CNN differ
+    from an uninterrupted run's. The embedding rows are only gathered,
+    scattered and updated elementwise, which keeps their bits either way.
+    Replace a loaded file only by rename, as `save_checkpoint` does:
+    truncating it in place can crash the process that maps it (SIGBUS)."""
     name = str(path)
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
@@ -452,8 +467,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{name}: glyph section: a character is not a CJK "
                                   "character of the vocab")
 
-        # Zero-stride stand-ins that carry only shapes: each array is read,
-        # below, after its section's size is checked against the file.
+        # Zero-stride stand-ins that carry only shapes: each array is taken
+        # from the mapping, below, after its section's size is checked
+        # against the file.
         d = config.dim
         if 4 * d > end:
             raise CheckpointError(f"{name}: dim={d} is larger than the file can hold")
@@ -462,6 +478,7 @@ def load_checkpoint(path) -> Checkpoint:
         cnn = CnnParams(*(np.broadcast_to(np.float32(0), s) for s in cnn_shapes(d)))
         ckpt = Checkpoint(config, vocab, ngram_dict, glyphs, tables, cnn,
                           replace(tables), replace(cnn))
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
         for section in _float_sections(ckpt):
             size = section_size()
             want = 4 * sum(getattr(owner, attr).size for owner, attr in section)
@@ -469,10 +486,10 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(f"{name}: float section of {size} bytes, "
                                       f"its shapes need {want}")
             for owner, attr in section:
-                arr = np.empty(getattr(owner, attr).shape, "<f4")
-                if fh.readinto(arr) != arr.nbytes:
-                    raise CheckpointError(f"{name}: truncated section payload")
-                setattr(owner, attr, arr)
+                like = getattr(owner, attr)
+                arr = np.frombuffer(mapped, "<f4", like.size, fh.tell()).reshape(like.shape)
+                setattr(owner, attr, arr.copy() if isinstance(owner, CnnParams) else arr)
+                fh.seek(arr.nbytes, os.SEEK_CUR)
 
         ckpt.epoch, ckpt.step = text("counters", read_payload(), _parse_counters, _counter_lines)
         if fh.tell() != end:
@@ -535,7 +552,9 @@ def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
         rows = ckpt.model().compose(np.arange(len(ckpt.vocab)))
     else:
         rows = ckpt.tables.word_id_vecs
+    d = ckpt.config.dim
+    fmt = "%s" + " %.6f" * d + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(ckpt.vocab)} {ckpt.config.dim}\n")
+        fh.write(f"{len(ckpt.vocab)} {d}\n")
         for token, vec in zip(ckpt.vocab.words, rows):
-            fh.write(token + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
+            fh.write(fmt % (token, *vec.tolist()))

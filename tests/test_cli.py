@@ -132,6 +132,16 @@ class TestPipeline:
         assert f"{data}:2: score 'inf' is not finite" in captured.err
         assert captured.out == ""
 
+    def test_eval_sim_score_not_a_number_is_error(self, model_path, tmp_path, capsys):
+        words = load_checkpoint(model_path).vocab.words
+        data = tmp_path / "ws.tsv"
+        data.write_text(f"{words[0]}\t{words[1]}\t1.0\n{words[2]}\t{words[3]}\tabc\n",
+                        encoding="utf-8")
+        assert run(["eval-sim", "--model", str(model_path), "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert f"{data}:2: score 'abc' is not a number" in captured.err
+        assert captured.out == ""
+
     def test_eval_analogy_json(self, model_path, tmp_path, capsys):
         import json
         ckpt = load_checkpoint(model_path)

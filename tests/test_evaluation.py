@@ -278,6 +278,13 @@ class TestDatasetLoaders:
         with pytest.raises(ValueError, match=f"ws.tsv:3: score '{score}' is not finite"):
             load_similarity_dataset(p)
 
+    @pytest.mark.parametrize("score", ["abc", "1.0.0", "0x1"])
+    def test_similarity_loader_score_not_a_number(self, tmp_path, score):
+        p = tmp_path / "ws.tsv"
+        p.write_text(f"你好\t再见\t3.5\n早\t晚\t{score}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"ws.tsv:2: score '{score}' is not a number"):
+            load_similarity_dataset(p)
+
     def test_analogy_loader(self, tmp_path):
         p = tmp_path / "an.txt"
         p.write_text(": capital\na b h t\n: family\nx y z w\nq r s t\n",

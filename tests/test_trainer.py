@@ -1,7 +1,9 @@
 import hashlib
 import io
 import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -66,6 +68,11 @@ def split_sections(blob):
         payloads.append(blob[off + 8:off + 8 + size])
         off += 8 + size
     return payloads
+
+
+def float_payload_offset(blob):
+    """Where the first float section's payload starts in a checkpoint."""
+    return 6 + sum(8 + len(p) for p in split_sections(blob)[:4]) + 8
 
 
 def join_sections(blob, payloads):
@@ -286,6 +293,24 @@ class TestTrain:
         for a, b in zip(trained_arrays(resumed), trained_arrays(whole), strict=True):
             np.testing.assert_array_equal(a, b)
 
+    # v1 float payloads start wherever the text sections end, so a loaded
+    # table may be an unaligned view of the file; the vocab's total_tokens,
+    # which training does not read, lengthens the vocab section a byte at
+    # a time.
+    @pytest.mark.parametrize("offset_mod_4", [0, 1, 2, 3])
+    def test_resume_equals_uninterrupted_at_any_float_offset(self, synth_data, trained,
+                                                              tmp_path, offset_mod_4):
+        paths = (synth_data.corpus_path, synth_data.strokes_path, synth_data.glyphs_path)
+        half = train(*paths, small_config(epochs=1), log=None)
+        while float_payload_offset(dump_checkpoint(half)) % 4 != offset_mod_4:
+            half.vocab.total_tokens *= 10
+        p = tmp_path / "half.dwe"
+        save_checkpoint(half, p)
+        resumed = train(*paths, small_config(epochs=1), resume=p, log=None)
+        assert (resumed.epoch, resumed.step) == (trained.epoch, trained.step)
+        for a, b in zip(trained_arrays(resumed), trained_arrays(trained), strict=True):
+            np.testing.assert_array_equal(a, b)
+
     def test_resume_reads_corpus_only(self, synth_data, trained, tmp_path):
         # the n-gram dictionary and glyphs come from the checkpoint, so a
         # resume never opens the stroke table or the glyph pack
@@ -324,6 +349,36 @@ class TestCheckpointIO:
         h = handmade_checkpoint()
         for ckpt in (init_checkpoint(h.vocab, h.ngram_dict, h.glyphs, h.config), back):
             assert_accumulators_fit(ckpt)
+
+    def test_loaded_arrays_are_writable_and_leave_the_file_alone(self, trained, tmp_path):
+        p = tmp_path / "m.dwe"
+        save_checkpoint(trained, p)
+        before = p.read_bytes()
+        back = load_checkpoint(p)
+        for arr in trained_arrays(back):
+            assert arr.flags.writeable
+            arr += 1
+        assert p.read_bytes() == before
+        for a, b in zip(trained_arrays(back), trained_arrays(trained), strict=True):
+            np.testing.assert_array_equal(a, b + 1)
+
+    def test_save_onto_the_file_it_was_loaded_from(self, trained, tmp_path):
+        p = tmp_path / "m.dwe"
+        save_checkpoint(trained, p)
+        before = p.read_bytes()
+        back = load_checkpoint(p)
+        save_checkpoint(back, p)
+        assert p.read_bytes() == before
+        assert dump_checkpoint(back) == before
+        assert dump_checkpoint(load_checkpoint(p)) == before
+
+    def test_loaded_cnn_arrays_own_aligned_data(self, trained, tmp_path):
+        p = tmp_path / "m.dwe"
+        save_checkpoint(trained, p)
+        back = load_checkpoint(p)
+        for params in (back.cnn, back.cnn_accum):
+            for _, arr in params.tensors():
+                assert arr.flags.owndata and arr.flags.aligned and arr.flags.c_contiguous
 
     def test_tables_zeros_like_is_fresh(self):
         tables = handmade_checkpoint().tables
@@ -631,6 +686,56 @@ class TestCheckpointIO:
         assert load_extra <= 1.5 * size
         assert back.step == ckpt.step
 
+    # tracemalloc does not see mapped pages, so this test reads the kernel's
+    # counts of a fresh process: anonymous memory after the load, and the
+    # peak resident size (file pages included) after an Evaluator build.
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads Linux's /proc/self/status")
+    def test_load_leaves_unread_sections_on_disk(self, tmp_path):
+        chars = [chr(0x4E00 + i) for i in range(30)]
+        words = [a + b for a in chars for b in chars]
+        G, d = 20_000, 300
+        labels = [f"{i // 1156},{i // 34 % 34},{i % 34}" for i in range(G)]
+        rng = np.random.default_rng(0)
+        per_char = {c: sorted(rng.choice(G, 8, replace=False).tolist()) for c in chars}
+        ckpt = init_checkpoint(Vocab(words, np.ones(len(words)), len(words)),
+                               StrokeNgramDict(labels, per_char), {},
+                               TrainingConfig(dim=d, n_min=3, n_max=3))
+        p = tmp_path / "m.dwe"
+        save_checkpoint(ckpt, p)
+        size = os.path.getsize(p)
+        read = 4 * (ckpt.tables.word_id_vecs.size + ckpt.tables.ngram_vecs.size
+                    + sum(a.size for _, a in ckpt.cnn.tensors()))
+        del ckpt
+        code = textwrap.dedent("""
+            import sys
+            from dwe.evaluation import Evaluator
+            from dwe.trainer import load_checkpoint
+
+            def status():
+                with open("/proc/self/status") as fh:
+                    return {k: int(v.split()[0]) * 1024
+                            for k, v in (line.split(":", 1) for line in fh)
+                            if k in ("RssAnon", "VmRSS", "VmHWM")}
+
+            before = status()
+            ckpt = load_checkpoint(sys.argv[1])
+            loaded = status()
+            Evaluator(ckpt)
+            built = status()
+            print(loaded["RssAnon"] - before["RssAnon"], built["VmHWM"] - before["VmRSS"])
+        """)
+        src = os.path.dirname(os.path.dirname(trainer_module.__file__))
+        out = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        anon_growth, peak_growth = map(int, out.stdout.split())
+        # The context table and the accumulators are half the file (27.5 MB).
+        assert anon_growth < 0.1 * size
+        # 24 MB covers the load's own allocations (about 2.4 MB), the
+        # Evaluator's arrays and CNN buffers (a 12 MB peak under tracemalloc)
+        # and pages the kernel maps around a read.
+        assert peak_growth < read + 24e6
+
 
 class TestExport:
     def test_line_count(self, trained, tmp_path):
@@ -661,6 +766,20 @@ class TestExport:
         export_vectors(ckpt, p1, which="composed")
         export_vectors(ckpt, p2, which="word_id")
         assert p1.read_text(encoding="utf-8") == p2.read_text(encoding="utf-8")
+
+    def test_components_written_as_six_decimals(self, tmp_path):
+        ckpt = handmade_checkpoint()
+        ckpt.tables.word_id_vecs[:] = np.array(
+            [0.0, -0.0, 1e-45, -1e-45, 1e30, -3.4e38, 5e-7, -5e-7, 1.5e-6, 1.2345675,
+             np.nan, np.inf, -np.inf, 123456.7890625, 2.5e-7], dtype=np.float32).reshape(3, 5)
+        p = tmp_path / "v.txt"
+        export_vectors(ckpt, p, which="word_id")
+        assert p.read_text(encoding="utf-8").splitlines() == [
+            "3 5",
+            "中国 0.000000 -0.000000 0.000000 -0.000000 1000000015047466219876688855040.000000",
+            "人 -339999995214436424907732413799364296704.000000 0.000000 -0.000000 0.000002 "
+            "1.234568",
+            "日本 nan inf -inf 123456.789062 0.000000"]
 
     def test_invalid_which(self, trained, tmp_path):
         with pytest.raises(ValueError):
