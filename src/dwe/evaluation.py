@@ -14,6 +14,9 @@ import numpy as np
 from .trainer import VECTOR_SOURCES, Checkpoint
 
 EPS_3COSMUL = 0.001
+# rows of `Evaluator._unit` per block of one sweep: 256 x 300 float64 is
+# 600 KB, so a block stays in L2 while every query vector passes over it
+SWEEP_ROWS = 256
 
 
 class UnrepresentableTokenError(ValueError):
@@ -100,12 +103,27 @@ def spearman_rho(xs, ys) -> float:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine of two vectors; exactly 1.0 for identical ones."""
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0 or nv == 0:
         raise UnrepresentableTokenError("cosine with a zero vector is undefined")
     if np.array_equal(u, v):
         return 1.0  # exact for identical vectors; avoids sqrt round-off
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The first k of `ids` by descending score, ties by ascending id.
+
+    Only the candidates at least as good as the k-th best are sorted, so
+    every tie at the cut is there and the result equals the full sort's.
+    """
+    neg = -scores[ids]
+    if k < len(ids):
+        # `not >` keeps nan scores too; the sort puts them last, as before
+        keep = ~(neg > np.partition(neg, k - 1)[k - 1])
+        ids, neg = ids[keep], neg[keep]
+    return ids[np.lexsort((ids, neg))][:k]
 
 
 class Evaluator:
@@ -146,6 +164,22 @@ class Evaluator:
             raise UnrepresentableTokenError(f"zero vector for {token!r}")
         return v / n
 
+    def _cosines(self, *tokens: str) -> np.ndarray:
+        """Row j is `_unit @ _unit_vector(tokens[j])`, bit for bit, from one
+        pass over `_unit` in blocks of SWEEP_ROWS rows."""
+        queries = [self._unit_vector(t) for t in tokens]
+        n = len(self._unit)
+        out = np.empty((len(queries), n))
+        lo = 0
+        # a one-row block would take BLAS's dot kernel, whose sum order is
+        # not the matrix-vector product's, so the last block takes it along
+        for hi in (*range(SWEEP_ROWS, n - 1, SWEEP_ROWS), n):
+            block = self._unit[lo:hi]
+            for q, row in zip(queries, out):
+                np.dot(block, q, out=row[lo:hi])
+            lo = hi
+        return out
+
     # -- similarity -----------------------------------------------------
 
     def similarity(self, a: str, b: str) -> float:
@@ -185,10 +219,8 @@ class Evaluator:
 
     def analogy_3cosmul(self, a: str, b: str, h: str) -> str:
         """argmax_t cos01(t,b) * cos01(t,h) / (cos01(t,a) + eps), cosines
-        shifted to [0, 1] via (1 + cos) / 2."""
-        ca = (1.0 + self._unit @ self._unit_vector(a)) / 2.0
-        cb = (1.0 + self._unit @ self._unit_vector(b)) / 2.0
-        ch = (1.0 + self._unit @ self._unit_vector(h)) / 2.0
+        shifted to [0, 1] via (1 + cos) / 2, eps = EPS_3COSMUL = 0.001."""
+        ca, cb, ch = (1.0 + self._cosines(a, b, h)) / 2.0
         scores = cb * ch / (ca + EPS_3COSMUL)
         scores[~self._candidates(a, b, h)] = -np.inf
         return self.vocab.words[int(np.argmax(scores))]
@@ -223,11 +255,14 @@ class Evaluator:
     # -- neighbors ---------------------------------------------------------
 
     def nearest_neighbors(self, token: str, k: int = 10) -> list[tuple[str, float]]:
+        """The k usable vocabulary words closest to `token`, with their cosines.
+
+        Descending cosine, ties broken by ascending vocabulary id. The token
+        itself is excluded; a k beyond the candidate count returns every
+        candidate.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        u = self._unit_vector(token)
-        scores = self._unit @ u
-        ids = np.nonzero(self._candidates(token))[0]
-        # descending cosine, ties broken by ascending id
-        order = ids[np.lexsort((ids, -scores[ids]))][:k]
-        return [(self.vocab.words[i], float(scores[i])) for i in order]
+        scores = self._unit @ self._unit_vector(token)
+        ids = _top_k(scores, np.nonzero(self._candidates(token))[0], k)
+        return [(self.vocab.words[i], float(scores[i])) for i in ids]

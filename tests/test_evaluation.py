@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dwe import evaluation
 from dwe.evaluation import (Evaluator, SimilarityRecord,
-                            UnrepresentableTokenError, cosine,
+                            UnrepresentableTokenError, _top_k, cosine,
                             load_analogy_dataset, load_similarity_dataset,
                             spearman_rho)
 from dwe.trainer import TrainingConfig, train
@@ -255,6 +259,72 @@ class TestNearestNeighbors:
     def test_invalid_k(self, ckpt):
         with pytest.raises(ValueError):
             Evaluator(ckpt).nearest_neighbors(ckpt.vocab.words[0], 0)
+
+    def test_ties_at_the_cut_come_in_id_order(self, ckpt):
+        # duplicated word-ID rows score exactly alike; k cuts through them
+        w = ckpt.tables.word_id_vecs.copy()
+        tied = [2, 4, 5, 8]
+        w[tied] = w[tied[0]]
+        dup = dataclasses.replace(ckpt, tables=dataclasses.replace(ckpt.tables,
+                                                                   word_id_vecs=w))
+        ev = Evaluator(dup, which="word_id")
+        q = ckpt.vocab.words[0]
+        scores = ev._unit @ ev._unit_vector(q)
+        assert len(set(scores[tied])) == 1
+        ahead = int((scores[1:] > scores[tied[0]]).sum())
+        k = ahead + 2
+        got = ev.nearest_neighbors(q, k)
+        ids = np.arange(1, len(ckpt.vocab))
+        want = ids[np.lexsort((ids, -scores[ids]))][:k]
+        assert got == [(ckpt.vocab.words[i], float(scores[i])) for i in want]
+        assert [ckpt.vocab.id_of[t] for t, _ in got[ahead:]] == tied[:2]
+
+    def test_k_beyond_candidates_returns_all(self, ckpt):
+        ev = Evaluator(ckpt)
+        q = ckpt.vocab.words[0]
+        got = ev.nearest_neighbors(q, len(ckpt.vocab) + 5)
+        assert got == ev.nearest_neighbors(q, len(ckpt.vocab) - 1)
+        assert len(got) == int(ev._candidates(q).sum())
+
+
+@given(st.data())
+def test_top_k_equals_full_sort(data):
+    n = data.draw(st.integers(1, 40))
+    # small integers make ties common; nan scores sort last
+    values = st.one_of(st.integers(-3, 3).map(float), st.just(float("nan")))
+    scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    ids = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    k = data.draw(st.integers(1, len(ids) + 3))
+    want = ids[np.lexsort((ids, -scores[ids]))][:k]
+    np.testing.assert_array_equal(_top_k(scores, ids, k), want)
+
+
+class TestSweep:
+    def test_rows_equal_full_products(self, ckpt, monkeypatch):
+        monkeypatch.setattr(evaluation, "SWEEP_ROWS", 16)
+        ev = Evaluator(ckpt)
+        assert len(ev._unit) % 16 not in (0, 1)  # several blocks, a ragged last one
+        tokens = ckpt.vocab.words[:3]
+        got = ev._cosines(*tokens)
+        for row, t in zip(got, tokens):
+            np.testing.assert_array_equal(row, ev._unit @ ev._unit_vector(t))
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 33, 34])
+    def test_one_row_remainder_rides_with_last_block(self, ckpt, monkeypatch, n):
+        monkeypatch.setattr(evaluation, "SWEEP_ROWS", 16)
+        ev = Evaluator(ckpt)
+        ev._unit = ev._unit[:n].copy()
+        t = ckpt.vocab.words[0]
+        np.testing.assert_array_equal(ev._cosines(t)[0], ev._unit @ ev._unit_vector(t))
+
+    def test_3cosmul_matches_brute_force_at_both_block_sizes(self, ckpt, monkeypatch):
+        ev = Evaluator(ckpt)
+        words = ckpt.vocab.words
+        triples = list(itertools.permutations(words[:8], 3))
+        want = [brute_3cosmul(words, ev.matrix, a, b, h) for a, b, h in triples]
+        for rows in (evaluation.SWEEP_ROWS, 16):
+            monkeypatch.setattr(evaluation, "SWEEP_ROWS", rows)
+            assert [ev.analogy_3cosmul(*t) for t in triples] == want
 
 
 class TestDatasetLoaders:
