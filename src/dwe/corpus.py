@@ -36,12 +36,9 @@ def build_vocab(tokens: Iterable[str], min_count: int = 5) -> Vocab:
     descending frequency (ties broken by first occurrence)."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counter: Counter[str] = Counter()
-    total = 0
-    for tok in tokens:
-        counter[tok] += 1
-        total += 1
     # Counter preserves first-occurrence order, giving the tie-break index.
+    counter = Counter(tokens)
+    total = counter.total()
     kept = [(w, c, i) for i, (w, c) in enumerate(counter.items()) if c >= min_count]
     if not kept:
         raise ValueError(f"vocabulary empty after min_count={min_count} filter")

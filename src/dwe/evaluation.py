@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import VECTOR_SOURCES, Checkpoint
+from .trainer import VECTOR_SOURCES, Checkpoint, CheckpointError
 
 EPS_3COSMUL = 0.001
 # rows of `Evaluator._unit` per block of one sweep: 256 x 300 float64 is
@@ -127,22 +127,30 @@ def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 
 
 class Evaluator:
-    """Read-only query interface over a frozen checkpoint."""
+    """Read-only query interface over a frozen checkpoint: the vectors of
+    `which`, built as `export_vectors` builds them, and every registry
+    character's feature in float64, for OOV tokens. A non-finite vector or
+    feature is a CheckpointError naming the first such word or character."""
 
     def __init__(self, ckpt: Checkpoint, which: str = "composed"):
         if which not in VECTOR_SOURCES:
             raise ValueError(f"which must be one of {VECTOR_SOURCES}, got {which!r}")
         self.vocab = ckpt.vocab
-        self.model = m = ckpt.model()
+        m = ckpt.model()
+        self.char_index = m.char_index
         self._char_feats = m.char_features().astype(np.float64)
         if which == "composed":
             self.matrix = m.compose(np.arange(len(self.vocab)), self._char_feats)
         else:
             self.matrix = m.tables.word_id_vecs.astype(np.float64)
+        for what, names, rows in (("word", self.vocab.words, self.matrix),
+                                  ("character", m.chars, self._char_feats)):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if len(bad):
+                raise CheckpointError(f"{what} {names[bad[0]]!r} has a non-finite vector")
         norms = np.linalg.norm(self.matrix, axis=1)
         self._usable = norms > 0
-        self._unit = np.zeros_like(self.matrix)
-        self._unit[self._usable] = self.matrix[self._usable] / norms[self._usable, None]
+        self._unit = self.matrix / np.where(self._usable, norms, 1)[:, None]
 
     def vector(self, token: str) -> np.ndarray:
         """Composed vector; OOV tokens fall back to averaged char features."""
@@ -151,8 +159,7 @@ class Evaluator:
         wid = self.vocab.id_of.get(token)
         if wid is not None:
             return self.matrix[wid]
-        m = self.model
-        cids = [m.char_index[c] for c in token if c in m.char_index]
+        cids = [self.char_index[c] for c in token if c in self.char_index]
         if not cids:
             raise UnrepresentableTokenError(f"no known CJK characters in {token!r}")
         return self._char_feats[cids].mean(axis=0)

@@ -198,24 +198,23 @@ def _unpool(dmax: np.ndarray, pre: np.ndarray, pooled: np.ndarray,
 
 @dataclass
 class CnnTape:
-    """Activations one forward pass leaves for the backward pass, as views
-    of its buffer set. maxN is the pooled conv output before ReLU, hN the
-    ReLU of pre_fcN. A tape is valid until the next pass on its set: it
-    serves one backward pass, which overwrites col2, pre2 and pre1 with
-    gradients, and a later forward pass overwrites all of it."""
-    col1: np.ndarray     # (B, 24, 24, 25)
-    pre1: np.ndarray     # (B, 24, 24, 6)
-    max1: np.ndarray     # (B, 12, 12, 6)
-    col2: np.ndarray     # (B, 8, 8, 150)
-    pre2: np.ndarray     # (B, 8, 8, 16)
-    max2: np.ndarray     # (B, 4, 4, 16)
-    flat: np.ndarray     # (B, 256)
-    pre_fc1: np.ndarray  # (B, 120)
-    h1: np.ndarray       # (B, 120)
-    pre_fc2: np.ndarray  # (B, 84)
-    h2: np.ndarray       # (B, 84)
+    """The 9 activations one forward pass leaves for the backward pass, as
+    views of its buffer set. maxN is the pooled conv output before ReLU,
+    hN fcN's output after its in-place ReLU, so hN > 0 is ReLU's mask. A
+    tape is valid until the next pass on its set: it serves one backward
+    pass, which overwrites col2, pre2 and pre1 with gradients, and a later
+    forward pass overwrites all of it."""
+    col1: np.ndarray  # (B, 24, 24, 25)
+    pre1: np.ndarray  # (B, 24, 24, 6)
+    max1: np.ndarray  # (B, 12, 12, 6)
+    col2: np.ndarray  # (B, 8, 8, 150)
+    pre2: np.ndarray  # (B, 8, 8, 16)
+    max2: np.ndarray  # (B, 4, 4, 16)
+    flat: np.ndarray  # (B, 256)
+    h1: np.ndarray    # (B, 120)
+    h2: np.ndarray    # (B, 84)
     buffers: CnnBuffers
-    pass_id: int         # buffers.passes after the forward pass
+    pass_id: int      # buffers.passes after the forward pass
 
 
 def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
@@ -244,15 +243,14 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
     b, h, w, c = max2.shape
     flat = take("flat", b, c * h * w)
     np.maximum(max2, 0, out=flat.reshape(b, c, h, w).transpose(0, 2, 3, 1))
-    pre_fc1 = np.matmul(flat, params.fc1_w, out=take("pre_fc1", b, params.fc1_w.shape[1]))
-    pre_fc1 += params.fc1_b
-    h1 = np.maximum(pre_fc1, 0, out=take("h1", *pre_fc1.shape))
-    pre_fc2 = np.matmul(h1, params.fc2_w, out=take("pre_fc2", b, params.fc2_w.shape[1]))
-    pre_fc2 += params.fc2_b
-    h2 = np.maximum(pre_fc2, 0, out=take("h2", *pre_fc2.shape))
+    h1 = np.matmul(flat, params.fc1_w, out=take("h1", b, params.fc1_w.shape[1]))
+    h1 += params.fc1_b
+    np.maximum(h1, 0, out=h1)
+    h2 = np.matmul(h1, params.fc2_w, out=take("h2", b, params.fc2_w.shape[1]))
+    h2 += params.fc2_b
+    np.maximum(h2, 0, out=h2)
     feature = h2 @ params.fc3_w + params.fc3_b
-    tape = CnnTape(col1, pre1, max1, col2, pre2, max2, flat, pre_fc1, h1, pre_fc2, h2,
-                   buffers, buffers.passes)
+    tape = CnnTape(col1, pre1, max1, col2, pre2, max2, flat, h1, h2, buffers, buffers.passes)
     return feature, tape
 
 
@@ -276,11 +274,11 @@ def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray
     dfc3_w = tape.h2.T @ grad_output
     dfc3_b = grad_output.sum(axis=0)
     dh2 = np.matmul(grad_output, params.fc3_w.T, out=take_like("dh2", tape.h2))
-    dh2 *= tape.pre_fc2 > 0
+    dh2 *= tape.h2 > 0
     dfc2_w = tape.h1.T @ dh2
     dfc2_b = dh2.sum(axis=0)
     dh1 = np.matmul(dh2, params.fc2_w.T, out=take_like("dh1", tape.h1))
-    dh1 *= tape.pre_fc1 > 0
+    dh1 *= tape.h1 > 0
     dfc1_w = tape.flat.T @ dh1
     dfc1_b = dh1.sum(axis=0)
     dflat = np.matmul(dh1, params.fc1_w.T, out=take_like("dflat", tape.flat))

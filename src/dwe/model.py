@@ -177,24 +177,21 @@ class DweModel:
             v, tape = cnn_forward_batch(self.cnn, self.char_bitmaps[char_ids], buffers)
         return s, v, tape, ngrams
 
-    def char_features(self, char_ids=None) -> np.ndarray:
-        """Features of registry characters (all by default); forward only,
-        CNN_CHUNK glyphs per CNN call, all in one buffer set of this call."""
-        char_ids = np.arange(len(self.chars)) if char_ids is None else \
-            np.asarray(char_ids, dtype=np.int64)
-        out = np.empty((len(char_ids), self.tables.dim), dtype=self.dtype)
+    def char_features(self) -> np.ndarray:
+        """Features of every registry character, in registry order; forward
+        only, CNN_CHUNK glyphs per CNN call, all in one buffer set of this
+        call. Every read of composed vectors starts here."""
+        ids = np.arange(len(self.chars))
+        out = np.empty((len(ids), self.tables.dim), dtype=self.dtype)
         buffers = CnnBuffers()
-        for lo in range(0, len(char_ids), CNN_CHUNK):
-            s, v, _, _ = self._char_factors(char_ids[lo:lo + CNN_CHUNK], buffers)
+        for lo in range(0, len(ids), CNN_CHUNK):
+            s, v, _, _ = self._char_factors(ids[lo:lo + CNN_CHUNK], buffers)
             out[lo:lo + CNN_CHUNK] = s * v
         return out
 
     def char_feature(self, char: str) -> np.ndarray:
-        """Character feature vector; zero for characters with no n-gram data."""
-        ci = self.char_index.get(char)
-        if ci is None:
-            raise KeyError(f"character {char!r} not in model registry")
-        return self.char_features([ci])[0]
+        """Row of `char_features()`; a character outside the registry is a KeyError."""
+        return self.char_features()[self.char_index[char]]
 
     def _compose(self, word_ids: np.ndarray, ptr: np.ndarray, feats: np.ndarray,
                  pos: np.ndarray) -> np.ndarray:
@@ -203,25 +200,19 @@ class DweModel:
         return self.tables.word_id_vecs[word_ids].astype(feats.dtype) + \
             _segment_sum(feats, pos, ptr) / counts
 
-    def compose(self, word_ids, char_feats: np.ndarray | None = None) -> np.ndarray:
-        """Composed vectors of vocabulary ids, one row each.
-
-        char_feats: features of every registry character (as from
-        char_features); the result takes their dtype. When omitted, the
-        words' characters are forwarded in the model dtype.
-        """
+    def compose(self, word_ids, char_feats: np.ndarray) -> np.ndarray:
+        """Composed vectors of vocabulary ids, one row each: word-ID rows
+        plus the mean of each word's rows of char_feats, the features of
+        every registry character (as from char_features). The result takes
+        their dtype."""
         word_ids = np.asarray(word_ids, dtype=np.int64)
         ptr, cids = _csr_rows(self.word_char_ptr, self.word_char_idx, word_ids)
-        if char_feats is None:
-            uchars, pos = np.unique(cids, return_inverse=True)
-            return self._compose(word_ids, ptr, self.char_features(uchars), pos)
         return self._compose(word_ids, ptr, char_feats, cids)
 
     def compose_word(self, token: str) -> WordComposition:
-        wid = self.vocab.id_of.get(token)
-        if wid is None:
-            raise KeyError(f"token {token!r} not in vocabulary")
-        return WordComposition(token, wid, self.compose([wid])[0])
+        """Row of `compose` for one vocabulary token; an unknown one is a KeyError."""
+        wid = self.vocab.id_of[token]
+        return WordComposition(token, wid, self.compose([wid], self.char_features())[0])
 
     # -- loss and gradients ----------------------------------------------
 

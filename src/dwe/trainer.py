@@ -209,10 +209,10 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
     """One epoch; returns the summed loss and the number of pairs.
 
     Each worker takes the next batch of the one `_epoch_batches` stream
-    under `lock` and applies its own gradients. The calling thread is the
-    only worker in deterministic mode and one of `threads` in hogwild
-    mode. The first exception in any worker stops the others and is
-    raised here.
+    under `lock` and applies its own gradients. The calling thread is one
+    of `threads` workers, and the only one in deterministic mode, which
+    `validate` limits to one thread. The first exception in any worker
+    stops the others and is raised here.
     """
     cfg = ckpt.config
     batches = _epoch_batches(sentences, cfg, sampler, keep_prob)
@@ -240,8 +240,7 @@ def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
             with lock:
                 errors.append(exc)
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(cfg.threads - 1 if cfg.mode == "hogwild" else 0)]
+    helpers = [threading.Thread(target=work) for _ in range(cfg.threads - 1)]
     for t in helpers:
         t.start()
     work()
@@ -545,11 +544,13 @@ def _parse_counters(lines: list[str]) -> tuple[int, int]:
 
 
 def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
-    """word2vec text format: header 'V d', then token + 6-decimal components."""
+    """word2vec text format: header 'V d', then token + 6-decimal components;
+    composed rows are float32, built from `char_features` as `Evaluator` builds them."""
     if which not in VECTOR_SOURCES:
         raise ValueError(f"which must be one of {VECTOR_SOURCES}, got {which!r}")
     if which == "composed":
-        rows = ckpt.model().compose(np.arange(len(ckpt.vocab)))
+        m = ckpt.model()
+        rows = m.compose(np.arange(len(ckpt.vocab)), m.char_features())
     else:
         rows = ckpt.tables.word_id_vecs
     d = ckpt.config.dim

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dwe.cli import run
-from dwe.trainer import TrainingConfig, load_checkpoint
-from helpers import load_vectors
+from dwe.trainer import TrainingConfig, load_checkpoint, save_checkpoint
+from helpers import handmade_checkpoint, load_vectors
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,19 @@ class TestExitCodes:
             assert run(args + extra) == 2
             assert "lr must be finite" in capsys.readouterr().err
             assert not (tmp_path / "m.dwe").exists()
+
+    @pytest.mark.parametrize("table, row, value, which, named", [
+        ("word_id_vecs", 1, np.inf, "composed", "word '人'"),
+        ("word_id_vecs", 1, np.inf, "word_id", "word '人'"),
+        ("ngram_vecs", 2, np.nan, "composed", "word '中国'"),
+        ("ngram_vecs", 2, np.nan, "word_id", "character '中'")])
+    def test_non_finite_vectors_are_2(self, tmp_path, capsys, table, row, value, which, named):
+        ckpt = handmade_checkpoint()
+        getattr(ckpt.tables, table)[row, 0] = value
+        path = tmp_path / "m.dwe"
+        save_checkpoint(ckpt, path)
+        assert run(["nn", "--model", str(path), "--word", "人", "--which", which]) == 2
+        assert f"{named} has a non-finite vector" in capsys.readouterr().err
 
     def test_help_is_0(self, capsys):
         assert run(["--help"]) == 0

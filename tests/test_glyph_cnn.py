@@ -27,8 +27,8 @@ class TestForward:
         assert tape.pre2.shape == (1, 8, 8, 16)
         assert tape.max2.shape == (1, 4, 4, 16)
         assert tape.flat.shape == (1, 256)
-        assert tape.pre_fc1.shape == (1, 120)
-        assert tape.pre_fc2.shape == (1, 84)
+        assert tape.h1.shape == (1, 120)
+        assert tape.h2.shape == (1, 84)
         assert feat[0].shape == (5,)
         # the flatten reads the channels-last map in (C, H, W) order
         np.testing.assert_array_equal(tape.flat[0].reshape(16, 4, 4),

@@ -39,6 +39,12 @@ class TestCharFeature:
         m = with_char_ngrams(make_micro_model(seed=0), {ci: []})
         assert (m.char_feature(m.chars[ci]) == 0).all()
 
+    def test_is_a_row_of_char_features(self):
+        m = make_micro_model(seed=1, d=5, dtype=np.float32)
+        feats = m.char_features()
+        for ci, ch in enumerate(m.chars):
+            assert m.char_feature(ch).tobytes() == feats[ci].tobytes()
+
     def test_direct_instantiation(self):
         # one n-gram g = [2, 3], cnn output v = [0.5, 1] -> g * v = [1, 3]
         g = np.array([2.0, 3.0])
@@ -73,6 +79,13 @@ class TestComposeWord:
             comp = m.compose_word(w)
             np.testing.assert_array_equal(comp.vector,
                                           m.tables.word_id_vecs[comp.word_id])
+
+    def test_is_a_row_of_compose(self):
+        m = make_micro_model(seed=3, d=5, dtype=np.float32)
+        feats = m.char_features()
+        for w in m.vocab.words:
+            comp = m.compose_word(w)
+            assert comp.vector.tobytes() == m.compose([comp.word_id], feats)[0].tobytes()
 
     def test_hand_arithmetic(self):
         w_id = np.array([1.0, 0.0])
@@ -243,7 +256,7 @@ class TestStepBuffers:
         assert len(second.flat) < len(first.flat)
         arrays = [f.name for f in dataclasses.fields(CnnTape)
                   if isinstance(getattr(first, f.name), np.ndarray)]
-        assert len(arrays) == 11
+        assert len(arrays) == 9
         for name in arrays:
             assert np.shares_memory(getattr(first, name), getattr(second, name)), name
 
