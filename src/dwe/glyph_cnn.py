@@ -8,22 +8,28 @@ gradient going to the first (row-major) position that holds the max.
 ReLU comes after pooling: the two commute, and the pooled array is 4x
 smaller.
 
-Activations stay channels-last, (B, H, W, C), from the input to the
-flatten, which reads the last pooled map in (C, H, W) order; that order
-fixes the row order of fc1_w. Conv weights are (O, C, k, k).
+A conv layer reads its input channels-first, (B, C, H, W): the bitmaps
+as they are and layer 1's ReLU output, which the ReLU writes in that
+order. There a column's rows of k taps are contiguous, so im2col copies
+whole runs of k floats. The convs' outputs, the pooled maps and the
+gradients are channels-last, (B, H, W, C), up to the flatten, which
+reads the last pooled map in (C, H, W) order; that order fixes the row
+order of fc1_w. Conv weights are (O, C, k, k).
 
 A pass writes its activations and large intermediates (im2col columns,
 conv outputs, pooled maps, unpool masks, the col2im gradients and the
-NCHW copies) into a `CnnBuffers` set through `out=` and in-place ops:
-the same operations in the same order as on fresh arrays, so reuse does
-not change a bit. `DweModel` owns one set for its training step, and
-`char_features` makes one per call; other callers get a fresh set by
-default. A set grows to the largest batch it has seen, after which a
-training step maps no new memory. A `CnnTape` is views of its set and
-lives until the next pass on that set: the backward pass writes each
-gradient into the dead activation of its shape (the columns' gradient
-into col2, dpre into pre2 and pre1). Nothing a call returns aliases a
-set: features and gradients are fresh arrays.
+two copies of each conv's output gradient that fix the sum order of its
+weight and bias gradients) into a `CnnBuffers` set through `out=` and
+in-place ops: the same operations in the same order as on fresh arrays,
+so reuse does not change a bit. `DweModel` owns one set for its
+training step, and `char_features` makes one per call; other callers
+get a fresh set by default. A set grows, at least doubling, to the
+largest batch it has seen, after which a training step maps no new
+memory. A `CnnTape` is views of its set and lives until the next pass
+on that set: the backward pass writes each gradient into the dead
+activation of its shape (the columns' gradient into col2, dpre into
+pre2 and pre1). Nothing a call returns aliases a set: features and
+gradients are fresh arrays.
 """
 from __future__ import annotations
 
@@ -31,7 +37,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .morphology import GLYPH_SIDE
 
@@ -95,10 +100,15 @@ class CnnBuffers:
 
     `take(name, shape, dtype)` is a view of the first prod(shape) elements
     of the array `name`; a too small array, or one of another dtype, is
-    replaced first. So a set grows to the largest batch it has seen and
-    then allocates nothing. `passes` counts the forward and backward
-    passes run on the set, which tells a live tape from a stale one. One
-    set serves one pass at a time: it is not thread-safe.
+    replaced first by one of prod(shape) elements, or of twice its size
+    if that is more. So the first take of a name is exact, an array is
+    replaced at most once per doubling of the batch, and a set grows to
+    the largest batch it has seen and then allocates nothing. A set that
+    never grows, like `char_features`'s, holds no slack: numpy backs
+    large arrays with 2 MB huge pages, which make slack past the used
+    part resident. `passes` counts the forward and backward passes run
+    on the set, which tells a live tape from a stale one. One set serves
+    one pass at a time: it is not thread-safe.
     """
 
     def __init__(self):
@@ -109,7 +119,7 @@ class CnnBuffers:
         n = math.prod(shape)
         a = self._arrays.get(name)
         if a is None or a.size < n or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(n, dtype)
+            a = self._arrays[name] = np.empty(n if a is None else max(n, 2 * a.size), dtype)
         return a[:n].reshape(shape)
 
     @property
@@ -118,15 +128,21 @@ class CnnBuffers:
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, buffers: CnnBuffers, layer: int):
-    """Valid stride-1 convolution of x (B, H, W, C); returns the output
-    (B, Ho, Wo, O) and the columns (B, Ho, Wo, C*k*k) it was computed from,
-    buffers `pre{layer}` and `col{layer}`, both in the dtype of w."""
+    """Valid stride-1 convolution of x (B, C, H, W), C-contiguous in the
+    dtype of w; returns the output (B, Ho, Wo, O) and the columns
+    (B, Ho, Wo, C*k*k) it was computed from, buffers `pre{layer}` and
+    `col{layer}`. A column's C*k runs of k floats, x[b, c, y+i, x:x+k],
+    are contiguous in x, so im2col is one copy of k-float items."""
     o, c, k, _ = w.shape
-    win = sliding_window_view(x, (k, k), axis=(1, 2))  # (B, Ho, Wo, C, k, k)
-    col = buffers.take(f"col{layer}", (*win.shape[:3], c * k * k), w.dtype)
-    np.copyto(col.reshape(win.shape), win, casting="unsafe")
+    n, _, h, wd = x.shape
+    ho, wo = h - k + 1, wd - k + 1
+    col = buffers.take(f"col{layer}", (n, ho, wo, c * k * k), w.dtype)
+    run = np.dtype((np.void, k * x.itemsize))
+    sb, sc, sh, sw = x.strides
+    runs = np.ndarray((n, ho, wo, c, k), run, x, strides=(sb, sh, sw, sc, sh))
+    np.copyto(col.view(run).reshape(runs.shape), runs)
     out = np.matmul(col, w.reshape(o, -1).T,
-                    out=buffers.take(f"pre{layer}", (*win.shape[:3], o), w.dtype))
+                    out=buffers.take(f"pre{layer}", (n, ho, wo, o), w.dtype))
     out += b
     return out, col
 
@@ -134,15 +150,18 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, buffers: CnnBuffers, laye
 def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray, buffers: CnnBuffers):
     """(dw, db) of _conv from its output gradient dout (B, Ho, Wo, O).
     Float sums depend on memory order; these keep the order that fixes the
-    bits of trained checkpoints. dw is one product of an (O, B*Ho*Wo) copy
-    of dout with the columns, as np.tensordot forms it, and db sums over an
-    NCHW-ordered copy of dout."""
+    bits of trained checkpoints. db sums over an NCHW-ordered copy of
+    dout, and dw is one product of an (O, B*Ho*Wo) copy with the columns,
+    copied from the NCHW one in runs of Ho*Wo floats. That copy stays:
+    handed the transposed view of dout instead, OpenBLAS 0.3.31 on an
+    AVX-512 Xeon takes other kernels for products of up to 1e6
+    multiply-adds, whose bits differ (conv2 at 1-6 float32 glyphs)."""
     o = w.shape[0]
     b, ho, wo = dout.shape[:3]
     nchw = buffers.take("nchw", (b, o, ho, wo), dout.dtype)
     np.copyto(nchw, dout.transpose(0, 3, 1, 2))
     onchw = buffers.take("onchw", (o, b, ho, wo), dout.dtype)
-    np.copyto(onchw, dout.transpose(3, 0, 1, 2))
+    np.copyto(onchw, nchw.transpose(1, 0, 2, 3))
     dw = np.dot(onchw.reshape(o, -1), col.reshape(-1, col.shape[-1])).reshape(w.shape)
     return dw, nchw.transpose(0, 2, 3, 1).sum(axis=(0, 1, 2))
 
@@ -220,7 +239,9 @@ class CnnTape:
 def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
                       buffers: CnnBuffers | None = None):
     """Feature vectors for a stack of bitmaps, shape (B, 28, 28), in the
-    dtype of params, and the tape for `cnn_backward_batch`.
+    dtype of params, and the tape for `cnn_backward_batch`. Bitmaps of
+    another dtype are cast to it unsafely, as `astype` casts; C-contiguous
+    bitmaps in the dtype of params are read in place.
 
     The activations go into `buffers`, a fresh set by default; the tape
     is views of them. The features are a fresh array.
@@ -235,9 +256,12 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
     def take(name, *shape):
         return buffers.take(name, shape, dtype)
 
-    pre1, col1 = _conv(bitmaps[..., None], params.conv1_w, params.conv1_b, buffers, 1)
+    pre1, col1 = _conv(np.ascontiguousarray(bitmaps, dtype)[:, None],
+                       params.conv1_w, params.conv1_b, buffers, 1)
     max1 = _pool(pre1, buffers, 1)
-    relu1 = np.maximum(max1, 0, out=take("tmp", *max1.shape))  # pooling is done with tmp
+    b, h, w, c = max1.shape
+    relu1 = take("tmp", b, c, h, w)  # pooling is done with tmp
+    np.maximum(max1, 0, out=relu1.transpose(0, 2, 3, 1))
     pre2, col2 = _conv(relu1, params.conv2_w, params.conv2_b, buffers, 2)
     max2 = _pool(pre2, buffers, 2)
     b, h, w, c = max2.shape

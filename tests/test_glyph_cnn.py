@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from dwe.glyph_cnn import (CnnBuffers, CnnParams, _pool, _unpool, cnn_backward_batch,
-                           cnn_forward_batch, cnn_init, cnn_shapes)
+from dwe.glyph_cnn import (CnnBuffers, CnnParams, _conv, _conv_grads, _pool, _unpool,
+                           cnn_backward_batch, cnn_forward_batch, cnn_init, cnn_shapes)
 from helpers import check_grad_tensor
 
 
@@ -53,6 +54,59 @@ class TestForward:
         params = cnn_init(0, 4)
         with pytest.raises(ValueError):
             cnn_forward_batch(params, np.zeros((2, 27, 28)))
+
+    @pytest.mark.parametrize("kind", ["uint8", "bool", "float64", "strided", "empty"])
+    def test_any_bitmaps_match_their_contiguous_float32_copy(self, kind):
+        params = cnn_init(8, 6)
+        rng = np.random.default_rng(12)
+        ints = rng.integers(0, 2, (6, 28, 28))
+        bitmaps = {"uint8": ints.astype(np.uint8),
+                   "bool": ints.astype(bool),
+                   "float64": rng.normal(0, 1, (6, 28, 28)),  # rounds to float32
+                   "strided": ints.astype(np.float32)[::2],
+                   "empty": np.zeros((0, 28, 28), np.uint8)}[kind]
+        feat, tape = cnn_forward_batch(params, bitmaps)
+        want, want_tape = cnn_forward_batch(params, np.ascontiguousarray(bitmaps, np.float32))
+        assert feat.shape == want.shape == (len(bitmaps), 6)
+        assert feat.dtype == want.dtype and feat.tobytes() == want.tobytes()
+        assert tape.col1.tobytes() == want_tape.col1.tobytes()
+
+
+# (input channels, side, output channels) of conv1 and conv2
+CONV_LAYERS = pytest.mark.parametrize("c, side, o", [(1, 28, 6), (6, 12, 16)])
+CONV_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+CONV_BATCHES = pytest.mark.parametrize("b", [1, 2, 33, 257])
+
+
+class TestConv:
+    @CONV_LAYERS
+    @CONV_DTYPES
+    @CONV_BATCHES
+    def test_columns_are_the_sliding_window_copy(self, c, side, o, dtype, b):
+        rng = np.random.default_rng(b * c)
+        x = rng.normal(0, 1, (b, c, side, side)).astype(dtype)
+        w = rng.normal(0, 1, (o, c, 5, 5)).astype(dtype)
+        _, col = _conv(x, w, np.zeros(o, dtype), CnnBuffers(), 1)
+        win = sliding_window_view(x.transpose(0, 2, 3, 1), (5, 5), axis=(1, 2))
+        assert col.shape == (b, side - 4, side - 4, c * 25)
+        assert col.tobytes() == win.reshape(col.shape).tobytes()
+
+    @CONV_LAYERS
+    @CONV_DTYPES
+    @CONV_BATCHES
+    def test_weight_gradient_is_the_product_of_a_copy(self, c, side, o, dtype, b):
+        # dw is bit-equal to the product of the (O, B*Ho*Wo) copy of dout; a
+        # product of its transposed view is not at batches 1 and 2 (conv2 in
+        # float32, conv1 in float64)
+        rng = np.random.default_rng(b * c + 1)
+        ho = side - 4
+        dout = rng.normal(0, 1, (b, ho, ho, o)).astype(dtype)
+        col = rng.normal(0, 1, (b, ho, ho, c * 25)).astype(dtype)
+        w = np.zeros((o, c, 5, 5), dtype)
+        dw, _ = _conv_grads(dout, col, w, CnnBuffers())
+        onchw = np.ascontiguousarray(dout.transpose(3, 0, 1, 2)).reshape(o, -1)
+        want = np.dot(onchw, col.reshape(-1, c * 25)).reshape(w.shape)
+        assert dw.dtype == want.dtype and dw.tobytes() == want.tobytes()
 
 
 class TestInit:
@@ -148,6 +202,46 @@ class TestBuffers:
             if b == 44:
                 grown = buffers.nbytes
         assert buffers.nbytes == grown  # the largest batch sized the set
+
+    def test_take_at_least_doubles(self):
+        buffers = CnnBuffers()
+        first = buffers.take("a", (5,), np.float32)
+        assert buffers._arrays["a"].size == 5  # a first take is exact
+        grown = buffers.take("a", (6,), np.float32)
+        base = buffers._arrays["a"]
+        assert base.size == 10 and not np.shares_memory(grown, first)
+        for n in range(6, 11):
+            a = buffers.take("a", (n,), np.float32)
+            assert buffers._arrays["a"] is base and np.shares_memory(a, grown)
+        buffers.take("a", (3, 9), np.float32)
+        assert buffers._arrays["a"].size == 27  # past twice the size: exact
+
+    def test_bytes_a_step_takes(self):
+        # at 44 glyphs and dim 32, as on train-glyph: the names and the most
+        # bytes taken under each
+        class Recording(CnnBuffers):
+            def __init__(self):
+                super().__init__()
+                self.taken = {}
+
+            def take(self, name, shape, dtype):
+                a = super().take(name, shape, dtype)
+                self.taken[name] = max(self.taken.get(name, 0), a.nbytes)
+                return a
+
+        params = cnn_init(1, 32)
+        rng = np.random.default_rng(3)
+        buffers = Recording()
+        bitmaps = rng.integers(0, 2, (44, 28, 28)).astype(np.float32)
+        _, tape = cnn_forward_batch(params, bitmaps, buffers)
+        assert sorted(buffers.taken) == ["col1", "col2", "flat", "h1", "h2", "max1", "max2",
+                                         "pre1", "pre2", "tmp"]
+        assert sum(buffers.taken.values()) == 5_442_624
+        cnn_backward_batch(params, tape, rng.normal(0, 1, (44, 32)).astype(np.float32))
+        assert sorted(buffers.taken) == ["col1", "col2", "dflat", "dh1", "dh2", "dmax1",
+                                         "dmax2", "flat", "free", "h1", "h2", "hit", "max1",
+                                         "max2", "nchw", "onchw", "pre1", "pre2", "tmp"]
+        assert sum(buffers.taken.values()) == 7_013_248
 
     def test_results_do_not_alias_the_set(self):
         params = cnn_init(2, 4)
