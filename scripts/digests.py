@@ -8,7 +8,11 @@ with the defaults and once with each of three single-field changes, and
 prints one line per run: its name, the digest of `dump_checkpoint`, and
 `ok` if that digest is the one recorded below or `CHANGED` if not. The
 default run is also exported with each `which` of `export_vectors`, and
-each file's digest gets a line of its own. Exits 1 if any digest changed.
+each file's digest gets a line of its own. A last line is the composed
+export of an untrained (epochs=0) dim-12 model over 640 characters with
+random glyphs: more than two of `char_features`' CNN calls and ten glyph
+blocks of the CNN forward, where the synthetic set's 44 characters fill
+one block. Exits 1 if any digest changed.
 
 Usage:
     python3 scripts/digests.py
@@ -18,8 +22,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from dwe.morphology import GLYPH_SIDE, write_glyph_pack, write_stroke_table
 from dwe.synthetic import make_synthetic_dataset
 from dwe.trainer import TrainingConfig, dump_checkpoint, export_vectors, train
 
@@ -36,6 +43,25 @@ RUNS = [("default", {},
 # which -> recorded digest of the default run's `export_vectors` file
 EXPORTS = {"composed": "d254e12417d7d6c36d7c4c9c5b3d99eab00016c8b984e5425a2bc3d20adcbe86",
            "word_id": "d52e1ef8b6a42a5e4121b943ae69accdae291ce66a0d1991bf00b24f5bc867aa"}
+WIDE_CHARS = 640
+WIDE_EXPORT = "07b38de5018b0d3ddedb20382742648a5a81ae14c656fe4497ba3da5c4057c80"
+
+
+def write_wide_registry(out_dir: Path) -> tuple[Path, Path, Path]:
+    """Corpus, stroke table and glyph pack of WIDE_CHARS characters: word i
+    is characters i and i + 1 (mod WIDE_CHARS), each character has 4 to 8
+    random stroke codes and a random bitmap."""
+    rng = np.random.default_rng(3)
+    chars = [chr(0x4E00 + i) for i in range(WIDE_CHARS)]
+    words = [a + b for a, b in zip(chars, chars[1:] + chars[:1])]
+    paths = (out_dir / "wide-corpus.txt", out_dir / "wide-strokes.tsv",
+             out_dir / "wide-glyphs.bin")
+    paths[0].write_text(" ".join(words) + "\n", encoding="utf-8")
+    write_stroke_table({c: rng.integers(1, 33, int(rng.integers(4, 9))).tolist()
+                        for c in chars}, paths[1])
+    write_glyph_pack({c: rng.integers(0, 2, (GLYPH_SIDE, GLYPH_SIDE)) for c in chars},
+                     paths[2])
+    return paths
 
 
 def check(name: str, digest: str, recorded: str) -> bool:
@@ -57,6 +83,12 @@ def main() -> int:
                 export_vectors(ckpt, path, which)
                 all_ok &= check(f"{name} export {which}",
                                 hashlib.sha256(path.read_bytes()).hexdigest(), recorded_export)
+        ckpt = train(*write_wide_registry(Path(out_dir)),
+                     TrainingConfig(**{**BASE, "epochs": 0}), log=None)
+        path = Path(out_dir) / "wide-vectors.txt"
+        export_vectors(ckpt, path, "composed")
+        all_ok &= check("wide-registry export composed",
+                        hashlib.sha256(path.read_bytes()).hexdigest(), WIDE_EXPORT)
     return 0 if all_ok else 1
 
 

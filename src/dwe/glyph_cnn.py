@@ -30,10 +30,23 @@ on that set: the backward pass writes each gradient into the dead
 activation of its shape (the columns' gradient into col2, dpre into
 pre2 and pre1). Nothing a call returns aliases a set: features and
 gradients are fresh arrays.
+
+The forward pass runs its per-glyph stages (im2col, the conv GEMMs,
+pooling and the ReLUs) in blocks of CNN_BLOCK glyphs, on CNN_WORKERS
+threads when there is more than one block. numpy releases the GIL in
+those loops, so the blocks use a second core. The calling thread takes
+every buffer first; a block then writes only its own rows of them, so
+blocks write disjoint memory and allocate nothing. Each glyph's output
+row is its own GEMM in numpy's stacked `matmul`, so the bits do not
+depend on the blocks or the worker count. The fc layers, whose bits do
+depend on the row count, run once over the whole batch in the calling
+thread, as does the backward pass.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,6 +54,10 @@ import numpy as np
 from .morphology import GLYPH_SIDE
 
 FLAT_SIZE = 256  # 16 * 4 * 4 after two conv/pool stages
+CNN_BLOCK = 64  # glyphs per block of the forward pass's per-glyph stages
+# threads that run the blocks: two, or one on a single-CPU machine
+CNN_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
 
 
 @dataclass
@@ -108,7 +125,10 @@ class CnnBuffers:
     large arrays with 2 MB huge pages, which make slack past the used
     part resident. `passes` counts the forward and backward passes run
     on the set, which tells a live tape from a stale one. One set serves
-    one pass at a time: it is not thread-safe.
+    one pass at a time, and only the pass's calling thread takes from it:
+    the forward pass's glyph blocks each write their own rows of arrays
+    taken for the whole batch, so two blocks never write the same bytes
+    (a name is therefore never taken at two sizes per glyph in one pass).
     """
 
     def __init__(self):
@@ -127,24 +147,19 @@ class CnnBuffers:
         return sum(a.nbytes for a in self._arrays.values())
 
 
-def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, buffers: CnnBuffers, layer: int):
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, col: np.ndarray, out: np.ndarray):
     """Valid stride-1 convolution of x (B, C, H, W), C-contiguous in the
-    dtype of w; returns the output (B, Ho, Wo, O) and the columns
-    (B, Ho, Wo, C*k*k) it was computed from, buffers `pre{layer}` and
-    `col{layer}`. A column's C*k runs of k floats, x[b, c, y+i, x:x+k],
-    are contiguous in x, so im2col is one copy of k-float items."""
+    dtype of w, into out (B, Ho, Wo, O), through its columns, written into
+    col (B, Ho, Wo, C*k*k). A column's C*k runs of k floats,
+    x[b, c, y+i, x:x+k], are contiguous in x, so im2col is one copy of
+    k-float items."""
     o, c, k, _ = w.shape
-    n, _, h, wd = x.shape
-    ho, wo = h - k + 1, wd - k + 1
-    col = buffers.take(f"col{layer}", (n, ho, wo, c * k * k), w.dtype)
     run = np.dtype((np.void, k * x.itemsize))
     sb, sc, sh, sw = x.strides
-    runs = np.ndarray((n, ho, wo, c, k), run, x, strides=(sb, sh, sw, sc, sh))
+    runs = np.ndarray(col.shape[:3] + (c, k), run, x, strides=(sb, sh, sw, sc, sh))
     np.copyto(col.view(run).reshape(runs.shape), runs)
-    out = np.matmul(col, w.reshape(o, -1).T,
-                    out=buffers.take(f"pre{layer}", (n, ho, wo, o), w.dtype))
+    np.matmul(col, w.reshape(o, -1).T, out=out)
     out += b
-    return out, col
 
 
 def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray, buffers: CnnBuffers):
@@ -188,13 +203,13 @@ def _quadrants(a: np.ndarray) -> list[np.ndarray]:
     return [a[:, r::2, c::2] for r in (0, 1) for c in (0, 1)]
 
 
-def _pool(a: np.ndarray, buffers: CnnBuffers, layer: int) -> np.ndarray:
-    """2x2 max pooling of a (B, H, W, C) into buffer `max{layer}` of
-    `buffers`; buffer `tmp` takes the maximum of the lower two positions
-    of each window."""
+def _pool(a: np.ndarray, out: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """2x2 max pooling of a (B, H, W, C) into out (B, H/2, W/2, C); lower,
+    of the same shape, takes the maximum of the lower two positions of
+    each window."""
     q = _quadrants(a)
-    out = np.maximum(q[0], q[1], out=buffers.take(f"max{layer}", q[0].shape, a.dtype))
-    lower = np.maximum(q[2], q[3], out=buffers.take("tmp", q[0].shape, a.dtype))
+    np.maximum(q[0], q[1], out=out)
+    np.maximum(q[2], q[3], out=lower)
     return np.maximum(out, lower, out=out)
 
 
@@ -236,6 +251,43 @@ class CnnTape:
     pass_id: int      # buffers.passes after the forward pass
 
 
+def _run_blocks(stage, n: int) -> None:
+    """stage(lo, hi) for each block [lo, hi) of CNN_BLOCK glyphs of n. The
+    calling thread and CNN_WORKERS - 1 helper threads, started for this
+    call, each take the next block until none is left or a block has
+    raised; once all have stopped, the first exception is raised here.
+    One worker or one block runs inline. The block boundaries do not
+    depend on the worker count."""
+    blocks = [(lo, min(lo + CNN_BLOCK, n)) for lo in range(0, n, CNN_BLOCK)]
+    if CNN_WORKERS < 2 or len(blocks) < 2:
+        for lo, hi in blocks:
+            stage(lo, hi)
+        return
+    pending, lock, errors = iter(blocks), threading.Lock(), []
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    block = None if errors else next(pending, None)
+                if block is None:
+                    return
+                stage(*block)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work, name="dwe-cnn")
+               for _ in range(min(CNN_WORKERS, len(blocks)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
                       buffers: CnnBuffers | None = None):
     """Feature vectors for a stack of bitmaps, shape (B, 28, 28), in the
@@ -244,7 +296,8 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
     bitmaps in the dtype of params are read in place.
 
     The activations go into `buffers`, a fresh set by default; the tape
-    is views of them. The features are a fresh array.
+    is views of them. The features are a fresh array. The per-glyph
+    stages run in blocks of CNN_BLOCK glyphs (see the module docstring).
     """
     bitmaps = np.asarray(bitmaps)
     if bitmaps.ndim != 3 or bitmaps.shape[1:] != (GLYPH_SIDE, GLYPH_SIDE):
@@ -252,21 +305,36 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
     buffers = CnnBuffers() if buffers is None else buffers
     buffers.passes += 1
     dtype = params.conv1_w.dtype
+    b = len(bitmaps)
 
     def take(name, *shape):
         return buffers.take(name, shape, dtype)
 
-    pre1, col1 = _conv(np.ascontiguousarray(bitmaps, dtype)[:, None],
-                       params.conv1_w, params.conv1_b, buffers, 1)
-    max1 = _pool(pre1, buffers, 1)
-    b, h, w, c = max1.shape
-    relu1 = take("tmp", b, c, h, w)  # pooling is done with tmp
-    np.maximum(max1, 0, out=relu1.transpose(0, 2, 3, 1))
-    pre2, col2 = _conv(relu1, params.conv2_w, params.conv2_b, buffers, 2)
-    max2 = _pool(pre2, buffers, 2)
-    b, h, w, c = max2.shape
-    flat = take("flat", b, c * h * w)
-    np.maximum(max2, 0, out=flat.reshape(b, c, h, w).transpose(0, 2, 3, 1))
+    x = np.ascontiguousarray(bitmaps, dtype)[:, None]
+    (o1, c1, k, _), o2 = params.conv1_w.shape, params.conv2_w.shape[0]
+    s1 = GLYPH_SIDE - k + 1   # conv1's output side, 24
+    s2 = s1 // 2 - k + 1      # conv2's, 8
+    col1, pre1 = take("col1", b, s1, s1, c1 * k * k), take("pre1", b, s1, s1, o1)
+    max1 = take("max1", b, s1 // 2, s1 // 2, o1)
+    relu1 = take("relu1", b, o1, s1 // 2, s1 // 2)  # channels-first: conv2 reads it
+    col2, pre2 = take("col2", b, s2, s2, o1 * k * k), take("pre2", b, s2, s2, o2)
+    max2 = take("max2", b, s2 // 2, s2 // 2, o2)
+    flat = take("flat", b, FLAT_SIZE)
+    # Until its ReLU writes it, each ReLU's output takes the lower halves of
+    # its pooling windows: the same bytes per glyph, so blocks stay disjoint.
+    lower1, lower2 = relu1.reshape(max1.shape), flat.reshape(max2.shape)
+    relu1_hwc = relu1.transpose(0, 2, 3, 1)
+    flat_hwc = flat.reshape(b, o2, s2 // 2, s2 // 2).transpose(0, 2, 3, 1)
+
+    def stage(lo: int, hi: int) -> None:
+        _conv(x[lo:hi], params.conv1_w, params.conv1_b, col1[lo:hi], pre1[lo:hi])
+        _pool(pre1[lo:hi], max1[lo:hi], lower1[lo:hi])
+        np.maximum(max1[lo:hi], 0, out=relu1_hwc[lo:hi])
+        _conv(relu1[lo:hi], params.conv2_w, params.conv2_b, col2[lo:hi], pre2[lo:hi])
+        _pool(pre2[lo:hi], max2[lo:hi], lower2[lo:hi])
+        np.maximum(max2[lo:hi], 0, out=flat_hwc[lo:hi])
+
+    _run_blocks(stage, b)
     h1 = np.matmul(flat, params.fc1_w, out=take("h1", b, params.fc1_w.shape[1]))
     h1 += params.fc1_b
     np.maximum(h1, 0, out=h1)

@@ -49,6 +49,7 @@ def log_sigmoid(x):
 
 CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds char_features' one buffer set
 ADAGRAD_BLOCK = 128 * 300  # floats per pass of adagrad_step_rows: 128 rows at dim 300
+INIT_CHUNK = 4096  # rows per draw of init_tables
 ADAGRAD_EPS = 1e-8  # Adagrad's smoothing term; every checkpoint's config records it
 
 
@@ -105,13 +106,24 @@ class EmbeddingTables:
 
 
 def init_tables(vocab_size: int, n_ngrams: int, d: int, seed: int, dtype=np.float32) -> EmbeddingTables:
-    """word-ID and n-gram rows uniform in +-0.5/d, context rows zero."""
+    """word-ID and n-gram rows uniform in +-0.5/d, context rows zero. The
+    rows are drawn INIT_CHUNK at a time, in float64, straight into the
+    table, so no float64 copy of a whole table exists; the generator's
+    stream does not depend on the chunking, so neither do the values."""
     rng = np.random.default_rng(seed)
     bound = 0.5 / d
+
+    def uniform(rows: int) -> np.ndarray:
+        out = np.empty((rows, d), dtype=dtype)
+        for lo in range(0, rows, INIT_CHUNK):
+            chunk = out[lo:lo + INIT_CHUNK]
+            chunk[...] = rng.uniform(-bound, bound, size=chunk.shape)
+        return out
+
     return EmbeddingTables(
-        word_id_vecs=rng.uniform(-bound, bound, size=(vocab_size, d)).astype(dtype),
+        word_id_vecs=uniform(vocab_size),
         context_vecs=np.zeros((vocab_size, d), dtype=dtype),
-        ngram_vecs=rng.uniform(-bound, bound, size=(n_ngrams, d)).astype(dtype),
+        ngram_vecs=uniform(n_ngrams),
     )
 
 

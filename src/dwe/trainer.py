@@ -384,14 +384,16 @@ def dump_checkpoint(ckpt: Checkpoint) -> bytes:
     return buf.getvalue()
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write `ckpt` to a temporary file beside `path`, fsync it and rename
-    it onto `path`. On failure the temporary file is removed and an earlier
-    file at `path` is left as it was."""
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file that replaces `path` when the block exits cleanly: it
+    is a temporary file beside `path`, fsynced and renamed onto it. On
+    failure the temporary file is removed and an earlier file at `path`
+    is left as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write_checkpoint(ckpt, fh)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -399,6 +401,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write `ckpt` to `path` through `_replacing`: a failed save leaves an
+    earlier file at `path` as it was."""
+    with _replacing(path) as fh:
+        _write_checkpoint(ckpt, fh)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -543,9 +552,78 @@ def _parse_counters(lines: list[str]) -> tuple[int, int]:
     return epoch, step
 
 
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The digit strings "00" .. "99" and "0000" .. "9999", each as the
+    native uint16 or uint32 of its ASCII bytes. The quads are built from
+    the pairs, so no temporary exceeds a few KB: a bytes object per
+    entry, or an int64 array per digit, leaves hundreds of KB resident."""
+    pairs = (np.arange(100)[:, None] // np.array([10, 1]) % 10 + ord("0")).astype(np.uint8)
+    quads = np.empty((100, 100, 4), np.uint8)
+    quads[..., :2] = pairs[:, None]
+    quads[..., 2:] = pairs
+    return pairs.view(np.uint16).ravel(), quads.view(np.uint32).ravel()
+
+
+_DIGIT_PAIRS, _DIGIT_QUADS = _digit_tables()
+FORMAT_BLOCK = 256  # rows per block of _write_rows
+FORMAT_LIMIT = 1e12  # |x| below which _write_rows formats x with numpy
+
+
+def _write_rows(fh, tokens: list[str], rows: np.ndarray) -> None:
+    """Write each token and its row to the binary file fh as
+    `"%s" + " %.6f" * d + "\n"` formats them, in UTF-8.
+
+    A float32 row whose components are all finite and below FORMAT_LIMIT
+    in magnitude is formatted by numpy, FORMAT_BLOCK rows at a time. A
+    float32 times 1e6 is exact in float64 (24 + 14 significand bits), so
+    np.rint(|x| * 1e6) is the correctly rounded, ties-to-even integer that
+    '%.6f' prints. Its digits, the signs, spaces and points go into a
+    grid of fixed-width uint8 fields, zero where a field is shorter, and
+    the text is the grid's non-zero bytes. Every other row takes the
+    format string."""
+    d = rows.shape[1]
+    fmt = "%s" + " %.6f" * d + "\n"
+    for lo in range(0, len(rows), FORMAT_BLOCK):
+        block = rows[lo:lo + FORMAT_BLOCK]
+        with np.errstate(invalid="ignore"):  # a signalling nan's cast
+            x = np.abs(block, dtype=np.float64)
+            fits = x < FORMAT_LIMIT  # false for nan and inf
+        by_numpy = fits.all(axis=1) & (rows.dtype == np.float32)
+        np.copyto(x, 0.0, where=~fits)
+        x *= 1e6
+        whole, frac = np.divmod(np.rint(x, out=x).astype(np.int64), 1_000_000)
+        digits = len(str(int(whole.max(initial=0))))
+        # a field: zeros, " ", sign, integer digits, ".", six digits; its
+        # width is a multiple of 4, so the last four digits are one uint32
+        w = -(-(digits + 9) // 4) * 4
+        grid = np.zeros((len(block), d + 1, w), np.uint8)
+        grid[:, d, -1] = ord("\n")  # a last field per row ends it
+        cells = grid[:, :d]
+        cells[..., w - digits - 9] = ord(" ")
+        np.multiply(np.signbit(block), np.uint8(ord("-")), out=cells[..., w - digits - 8])
+        rest = whole
+        for k in range(digits):  # from the units up, no leading zeros
+            rest, digit = np.divmod(rest, 10)
+            place = cells[..., w - 8 - k]
+            np.add(digit, ord("0"), out=place, casting="unsafe")
+            if k:
+                place[whole < 10 ** k] = 0
+        cells[..., w - 7] = ord(".")
+        high, low = np.divmod(frac, 10_000)
+        cells.view(np.uint16)[..., (w - 6) // 2] = _DIGIT_PAIRS[high]
+        cells.view(np.uint32)[..., (w - 4) // 4] = _DIGIT_QUADS[low]
+        lines = grid.tobytes().translate(None, b"\0").split(b"\n")
+        for token, row, line, numpy_line in zip(tokens[lo:lo + FORMAT_BLOCK], block, lines,
+                                                by_numpy):
+            fh.write(token.encode() + line + b"\n" if numpy_line
+                     else (fmt % (token, *row.tolist())).encode())
+
+
 def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
     """word2vec text format: header 'V d', then token + 6-decimal components;
-    composed rows are float32, built from `char_features` as `Evaluator` builds them."""
+    composed rows are float32, built from `char_features` as `Evaluator`
+    builds them. The file replaces `path` only when it is complete
+    (`_replacing`)."""
     if which not in VECTOR_SOURCES:
         raise ValueError(f"which must be one of {VECTOR_SOURCES}, got {which!r}")
     if which == "composed":
@@ -553,9 +631,6 @@ def export_vectors(ckpt: Checkpoint, path, which: str = "composed") -> None:
         rows = m.compose(np.arange(len(ckpt.vocab)), m.char_features())
     else:
         rows = ckpt.tables.word_id_vecs
-    d = ckpt.config.dim
-    fmt = "%s" + " %.6f" * d + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(ckpt.vocab)} {d}\n")
-        for token, vec in zip(ckpt.vocab.words, rows):
-            fh.write(fmt % (token, *vec.tolist()))
+    with _replacing(path) as fh:
+        fh.write(f"{len(ckpt.vocab)} {ckpt.config.dim}\n".encode())
+        _write_rows(fh, ckpt.vocab.words, rows)

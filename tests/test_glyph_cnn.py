@@ -1,9 +1,18 @@
+import os
+import signal
+import sys
+import threading
+import time
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dwe.glyph_cnn import (CnnBuffers, CnnParams, _conv, _conv_grads, _pool, _unpool,
-                           cnn_backward_batch, cnn_forward_batch, cnn_init, cnn_shapes)
+from dwe import glyph_cnn
+from dwe.glyph_cnn import (CNN_BLOCK, CnnBuffers, CnnParams, CnnTape, _conv, _conv_grads, _pool,
+                           _run_blocks, _unpool, cnn_backward_batch, cnn_forward_batch, cnn_init,
+                           cnn_shapes)
 from helpers import check_grad_tensor
 
 
@@ -86,9 +95,9 @@ class TestConv:
         rng = np.random.default_rng(b * c)
         x = rng.normal(0, 1, (b, c, side, side)).astype(dtype)
         w = rng.normal(0, 1, (o, c, 5, 5)).astype(dtype)
-        _, col = _conv(x, w, np.zeros(o, dtype), CnnBuffers(), 1)
+        col = np.empty((b, side - 4, side - 4, c * 25), dtype)
+        _conv(x, w, np.zeros(o, dtype), col, np.empty((b, side - 4, side - 4, o), dtype))
         win = sliding_window_view(x.transpose(0, 2, 3, 1), (5, 5), axis=(1, 2))
-        assert col.shape == (b, side - 4, side - 4, c * 25)
         assert col.tobytes() == win.reshape(col.shape).tobytes()
 
     @CONV_LAYERS
@@ -235,12 +244,12 @@ class TestBuffers:
         bitmaps = rng.integers(0, 2, (44, 28, 28)).astype(np.float32)
         _, tape = cnn_forward_batch(params, bitmaps, buffers)
         assert sorted(buffers.taken) == ["col1", "col2", "flat", "h1", "h2", "max1", "max2",
-                                         "pre1", "pre2", "tmp"]
+                                         "pre1", "pre2", "relu1"]
         assert sum(buffers.taken.values()) == 5_442_624
         cnn_backward_batch(params, tape, rng.normal(0, 1, (44, 32)).astype(np.float32))
         assert sorted(buffers.taken) == ["col1", "col2", "dflat", "dh1", "dh2", "dmax1",
                                          "dmax2", "flat", "free", "h1", "h2", "hit", "max1",
-                                         "max2", "nchw", "onchw", "pre1", "pre2", "tmp"]
+                                         "max2", "nchw", "onchw", "pre1", "pre2", "relu1"]
         assert sum(buffers.taken.values()) == 7_013_248
 
     def test_results_do_not_alias_the_set(self):
@@ -265,11 +274,126 @@ class TestBuffers:
             cnn_backward_batch(params, second, go)
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, CNN_BLOCK - 1, CNN_BLOCK, CNN_BLOCK + 1, 4 * CNN_BLOCK + 1])
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, dtype, b):
+        # features, every tape array and every gradient at 1, 2 and 3
+        # workers; 3 is more threads than the blocks' two cores, and a short
+        # switch interval interleaves them finely
+        params = cnn_init(b, 9, dtype)
+        rng = np.random.default_rng(b)
+        bitmaps = rng.integers(0, 2, (b, 28, 28)).astype(np.uint8)
+        go = rng.normal(0, 1, (b, 9)).astype(dtype)
+        arrays = [f.name for f in fields(CnnTape)][:9]  # the activations
+
+        def run(workers):
+            monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", workers)
+            feat, tape = cnn_forward_batch(params, bitmaps)
+            got = [feat] + [getattr(tape, name).copy() for name in arrays]
+            return got + [g for _, g in cnn_backward_batch(params, tape, go).tensors()]
+
+        want = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3):
+                got = run(workers)
+                for i, (g, w) in enumerate(zip(got, want, strict=True)):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (workers, i)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers, n", [
+        (1, 3 * CNN_BLOCK), (2, CNN_BLOCK), (2, CNN_BLOCK + 1), (3, 5 * CNN_BLOCK - 2)])
+    def test_blocks_run_once_each_on_their_workers(self, monkeypatch, workers, n):
+        # the first `workers` blocks meet at a barrier, so they must run on
+        # that many threads at once: the calling thread and its helpers
+        monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", workers)
+        blocks = [(lo, min(lo + CNN_BLOCK, n)) for lo in range(0, n, CNN_BLOCK)]
+        meet = threading.Barrier(min(workers, len(blocks)), timeout=10)
+        ran, lock = [], threading.Lock()
+
+        def stage(lo, hi):
+            if lo < meet.parties * CNN_BLOCK:
+                meet.wait()
+            with lock:
+                ran.append((lo, hi, threading.current_thread()))
+
+        _run_blocks(stage, n)
+        assert sorted((lo, hi) for lo, hi, _ in ran) == blocks
+        threads = {thread for _, _, thread in ran}
+        assert threading.current_thread() in threads and len(threads) == meet.parties
+        assert {t.name for t in threads - {threading.current_thread()}} <= {"dwe-cnn"}
+
+    def test_a_failing_block_raises(self, monkeypatch):
+        # the workers stop taking blocks; no block runs twice
+        monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", 2)
+        ran = []
+
+        def stage(lo, hi):
+            ran.append(lo)
+            if lo == 0:
+                raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            _run_blocks(stage, 40 * CNN_BLOCK)
+        assert 0 in ran and len(set(ran)) == len(ran)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_runs_every_block(self, monkeypatch):
+        # a child forked after a parallel pass inherits no helper thread; a
+        # kept pool of helpers would leave the child waiting for them
+        monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", 2)
+        _run_blocks(lambda lo, hi: None, 3 * CNN_BLOCK)
+        pid = os.fork()
+        if pid == 0:
+            ran = []
+            _run_blocks(lambda lo, hi: ran.append(lo), 3 * CNN_BLOCK)
+            os._exit(0 if sorted(ran) == [0, CNN_BLOCK, 2 * CNN_BLOCK] else 1)
+        for _ in range(1000):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_a_pass_takes_each_name_at_one_size(self):
+        # blocks write their own rows of each array; a name taken at two
+        # sizes per glyph in one pass would let one block's rows of one
+        # view overlap another block's rows of the other
+        class Recording(CnnBuffers):
+            def __init__(self):
+                super().__init__()
+                self.shapes = {}
+
+            def take(self, name, shape, dtype):
+                self.shapes.setdefault(name, set()).add(shape)
+                return super().take(name, shape, dtype)
+
+        buffers = Recording()
+        params = cnn_init(0, 5)
+        bitmaps = np.random.default_rng(1).integers(0, 2, (2 * CNN_BLOCK + 3, 28, 28))
+        cnn_forward_batch(params, bitmaps, buffers)
+        assert all(len(shapes) == 1 for shapes in buffers.shapes.values()), buffers.shapes
+
+
+def pool(x):
+    """_pool of x (B, H, W, C) into fresh arrays."""
+    b, h, w, c = x.shape
+    return _pool(x, np.empty((b, h // 2, w // 2, c), x.dtype),
+                 np.empty((b, h // 2, w // 2, c), x.dtype))
+
+
 def test_unpool_in_place_matches_out_of_place():
     # small integers tie within windows, so the first-position rule is exercised
     rng = np.random.default_rng(4)
     pre = rng.integers(-2, 3, (3, 8, 8, 5)).astype(np.float32)
-    pooled = _pool(pre, CnnBuffers(), 1)
+    pooled = pool(pre)
     dmax = rng.normal(0, 1, pooled.shape).astype(np.float32)
     want = _unpool(dmax, pre, pooled, np.empty_like(pre), CnnBuffers())
     got = _unpool(dmax, pre, pooled, pre, CnnBuffers())
@@ -280,7 +404,7 @@ def test_unpool_in_place_matches_out_of_place():
 def relu_pool_grad(x):
     """Input gradient of sum(ReLU(maxpool(x))) for NHWC x, and of
     sum(maxpool(x)), as cnn_backward_batch routes them."""
-    pooled = _pool(x, CnnBuffers(), 1)
+    pooled = pool(x)
     ones = np.ones_like(pooled)
     return (_unpool(ones * (pooled > 0), x, pooled, np.empty_like(x), CnnBuffers()),
             _unpool(ones, x, pooled, np.empty_like(x), CnnBuffers()))
@@ -297,7 +421,7 @@ def test_maxpool_gradient_sparsity():
     # the ReLU after pooling, a window with no positive entry receives none
     x = np.random.default_rng(0).normal(0, 1, (1, 8, 8, 3))
     x[0, 2:4, 4:6, 1] = -1.0 - np.abs(x[0, 2:4, 4:6, 1])
-    np.testing.assert_array_equal(_pool(x, CnnBuffers(), 1).reshape(-1), windows(x).max(axis=1))
+    np.testing.assert_array_equal(pool(x).reshape(-1), windows(x).max(axis=1))
     with_relu, without_relu = relu_pool_grad(x)
     assert ((windows(without_relu) != 0).sum(axis=1) == 1).all()
     np.testing.assert_array_equal((windows(without_relu) != 0).argmax(axis=1),

@@ -8,7 +8,7 @@ import pytest
 from dwe import model as model_module
 from dwe.corpus import Vocab
 from dwe.glyph_cnn import CnnTape, cnn_forward_batch, cnn_init
-from dwe.model import (ADAGRAD_BLOCK, DweModel, adagrad_step, adagrad_step_rows,
+from dwe.model import (ADAGRAD_BLOCK, INIT_CHUNK, DweModel, adagrad_step, adagrad_step_rows,
                        init_tables, log_sigmoid, sigmoid)
 from dwe.morphology import build_ngram_dict
 from helpers import (check_grad_tensor, make_micro_model, sgns_reference_adagrad,
@@ -384,3 +384,19 @@ def test_init_tables_convention():
     assert np.abs(t.ngram_vecs).max() <= 0.5 / 4
     t2 = init_tables(5, 9, 4, seed=0, dtype=np.float64)
     np.testing.assert_array_equal(t.word_id_vecs, t2.word_id_vecs)
+
+
+@pytest.mark.parametrize("vocab_size, n_ngrams, d", [
+    (0, 0, 3), (1, INIT_CHUNK + 1, 2), (INIT_CHUNK - 1, 2 * INIT_CHUNK + 7, 5),
+    (INIT_CHUNK, 3, 1)])
+def test_init_tables_in_chunks_equals_one_draw(vocab_size, n_ngrams, d):
+    # the rows are drawn INIT_CHUNK at a time; the tables equal one draw of
+    # each whole table, cast after it
+    t = init_tables(vocab_size, n_ngrams, d, seed=4)
+    rng = np.random.default_rng(4)
+    bound = 0.5 / d
+    for got, rows in ((t.word_id_vecs, vocab_size), (t.ngram_vecs, n_ngrams)):
+        want = rng.uniform(-bound, bound, size=(rows, d)).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert t.context_vecs.shape == (vocab_size, d) and not t.context_vecs.any()

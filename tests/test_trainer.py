@@ -9,6 +9,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwe import trainer as trainer_module
 from dwe.cli import run
@@ -17,8 +19,9 @@ from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams
 from dwe.model import ADAGRAD_EPS, EmbeddingTables, Grads
 from dwe.morphology import StrokeNgramDict, dump_glyph_records
-from dwe.trainer import (CheckpointError, ConfigMismatchError, TrainingConfig,
-                         TrainingDivergedError, _epoch_batches, apply_grads, dump_checkpoint,
+from dwe.trainer import (FORMAT_BLOCK, FORMAT_LIMIT, CheckpointError, ConfigMismatchError,
+                         TrainingConfig, TrainingDivergedError, _epoch_batches, _write_rows,
+                         apply_grads, dump_checkpoint,
                          export_vectors, init_checkpoint, load_checkpoint,
                          save_checkpoint, train, train_checkpoint)
 from helpers import handmade_checkpoint, load_vectors
@@ -784,6 +787,75 @@ class TestExport:
     def test_invalid_which(self, trained, tmp_path):
         with pytest.raises(ValueError):
             export_vectors(trained, tmp_path / "x.txt", which="bogus")
+
+    def test_failed_export_leaves_old_file(self, trained, tmp_path, monkeypatch):
+        p = tmp_path / "v.txt"
+        export_vectors(trained, p)
+        old = p.read_bytes()
+        write_rows = trainer_module._write_rows
+
+        def full_disk(fh, tokens, rows):  # fails after some rows are written
+            write_rows(fh, tokens[:3], rows[:3])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(trainer_module, "_write_rows", full_disk)
+        for path in (p, tmp_path / "new.txt"):
+            with pytest.raises(OSError, match="No space left"):
+                export_vectors(trained, path, which="word_id")
+        assert p.read_bytes() == old
+        assert os.listdir(tmp_path) == ["v.txt"]
+
+
+def formatted(tokens: list[str], rows: np.ndarray) -> bytes:
+    """The rows as the format string writes them: the reference of _write_rows."""
+    fmt = "%s" + " %.6f" * rows.shape[1] + "\n"
+    return "".join(fmt % (t, *r.tolist()) for t, r in zip(tokens, rows)).encode()
+
+
+def written(rows: np.ndarray) -> tuple[bytes, bytes]:
+    """(_write_rows' bytes, the format string's) of rows with tokens 词0, 词1, ..."""
+    tokens = [f"词{i}" for i in range(len(rows))]
+    fh = io.BytesIO()
+    _write_rows(fh, tokens, rows)
+    return fh.getvalue(), formatted(tokens, rows)
+
+
+def float32_bits(*values) -> list[int]:
+    return np.array(values, np.float32).view(np.uint32).tolist()
+
+
+# ±0, the extreme subnormals, the smallest normal, the float32 maximum,
+# the values around FORMAT_LIMIT, quiet and signalling nans and ±inf
+SPECIAL_BITS = [b | sign for sign in (0, 1 << 31) for b in (
+    0, 1, 0x007FFFFF, 0x00800000, 0x7F7FFFFF, *float32_bits(FORMAT_LIMIT),
+    float32_bits(FORMAT_LIMIT)[0] - 1, 0x7FC00000, 0x7F800001, 0x7F800000)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rows_are_the_format_strings_bytes(data):
+    # any float32 bit pattern, the special values, and ties at m/128, where
+    # '%.6f' rounds half to even
+    r, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+    element = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_BITS),
+                        st.integers(-2**24, 2**24).map(lambda m: float32_bits(m / 128)[0]))
+    bits = data.draw(st.lists(element, min_size=r * d, max_size=r * d))
+    got, want = written(np.array(bits, np.uint32).view(np.float32).reshape(r, d))
+    assert got == want
+
+
+def test_rows_across_blocks_are_the_format_strings_bytes():
+    # 2.5 blocks of rows: every magnitude that numpy formats, exact ties at
+    # m/2**20, and a few rows with a non-finite or too large component
+    rng = np.random.default_rng(8)
+    n, d = FORMAT_BLOCK * 5 // 2, 12
+    rows = (rng.normal(0, 1, (n, d)) * 10.0 ** rng.integers(-8, 12, (n, d))).astype(np.float32)
+    rows[::7] = (rng.integers(-2**23, 2**23, (len(rows[::7]), d)) / 2**20).astype(np.float32)
+    rows[5, 3], rows[FORMAT_BLOCK + 1, 0], rows[-1, -1] = np.nan, -np.inf, 2 * FORMAT_LIMIT
+    got, want = written(rows)
+    assert got == want
+    got, want = written(rows.astype(np.float64))  # not float32: the format string
+    assert got == want
 
 
 class TestConfig:
