@@ -8,6 +8,7 @@ usable characters (and zero vectors) are unrepresentable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,23 +31,33 @@ class SimilarityRecord:
     human_score: float
 
 
+def _dataset_lines(path):
+    """(line number, stripped line) for each line of the file at path that
+    is not blank; a line that is not UTF-8 raises ValueError naming it."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{lineno}: not UTF-8") from None
+        if line:
+            yield lineno, line
+
+
 def load_similarity_dataset(path) -> list[SimilarityRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected word_a<TAB>word_b<TAB>score")
-            try:
-                score = float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not a number") from None
-            if not np.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
-            records.append(SimilarityRecord(parts[0], parts[1], score))
+    for lineno, line in _dataset_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected word_a<TAB>word_b<TAB>score")
+        try:
+            score = float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not a number") from None
+        if not np.isfinite(score):
+            raise ValueError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
+        records.append(SimilarityRecord(parts[0], parts[1], score))
     if len(records) < 2:
         raise ValueError(f"{path}: need >= 2 records for rank correlation")
     return records
@@ -55,23 +66,19 @@ def load_similarity_dataset(path) -> list[SimilarityRecord]:
 def load_analogy_dataset(path) -> dict[str, list[tuple[str, str, str, str]]]:
     groups: dict[str, list[tuple[str, str, str, str]]] = {}
     current = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(":"):
-                current = line[1:].strip()
-                if not current or current in groups:
-                    raise ValueError(f"{path}:{lineno}: bad or duplicate group name")
-                groups[current] = []
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 words")
-            if current is None:
-                raise ValueError(f"{path}:{lineno}: quadruple before any group header")
-            groups[current].append(tuple(parts))
+    for lineno, line in _dataset_lines(path):
+        if line.startswith(":"):
+            current = line[1:].strip()
+            if not current or current in groups:
+                raise ValueError(f"{path}:{lineno}: bad or duplicate group name")
+            groups[current] = []
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 words")
+        if current is None:
+            raise ValueError(f"{path}:{lineno}: quadruple before any group header")
+        groups[current].append(tuple(parts))
     if not groups or not any(groups.values()):
         raise ValueError(f"{path}: empty analogy dataset")
     return groups

@@ -33,8 +33,9 @@ gradients are fresh arrays.
 
 The forward pass runs its per-glyph stages (im2col, the conv GEMMs,
 pooling and the ReLUs) in blocks of CNN_BLOCK glyphs, on CNN_WORKERS
-threads when there is more than one block. numpy releases the GIL in
-those loops, so the blocks use a second core. The calling thread takes
+threads when there is more than one block: `run_workers` runs them on
+the calling thread and helpers started for the call. numpy releases the
+GIL in those loops, so the blocks use a second core. The calling thread takes
 every buffer first; a block then writes only its own rows of them, so
 blocks write disjoint memory and allocate nothing. Each glyph's output
 row is its own GEMM in numpy's stacked `matmul`, so the bits do not
@@ -46,12 +47,12 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .morphology import GLYPH_SIDE
+from .workers import run_workers
 
 FLAT_SIZE = 256  # 16 * 4 * 4 after two conv/pool stages
 CNN_BLOCK = 64  # glyphs per block of the forward pass's per-glyph stages
@@ -252,40 +253,12 @@ class CnnTape:
 
 
 def _run_blocks(stage, n: int) -> None:
-    """stage(lo, hi) for each block [lo, hi) of CNN_BLOCK glyphs of n. The
-    calling thread and CNN_WORKERS - 1 helper threads, started for this
-    call, each take the next block until none is left or a block has
-    raised; once all have stopped, the first exception is raised here.
-    One worker or one block runs inline. The block boundaries do not
-    depend on the worker count."""
+    """stage(lo, hi) for each block [lo, hi) of CNN_BLOCK glyphs of n, on
+    up to CNN_WORKERS workers (`run_workers`); one block runs on the
+    calling thread alone. The block boundaries do not depend on the
+    worker count."""
     blocks = [(lo, min(lo + CNN_BLOCK, n)) for lo in range(0, n, CNN_BLOCK)]
-    if CNN_WORKERS < 2 or len(blocks) < 2:
-        for lo, hi in blocks:
-            stage(lo, hi)
-        return
-    pending, lock, errors = iter(blocks), threading.Lock(), []
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    block = None if errors else next(pending, None)
-                if block is None:
-                    return
-                stage(*block)
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=work, name="dwe-cnn")
-               for _ in range(min(CNN_WORKERS, len(blocks)) - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[0]
+    run_workers(blocks, lambda block: stage(*block), min(CNN_WORKERS, len(blocks)), "dwe-cnn")
 
 
 def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,

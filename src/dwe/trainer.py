@@ -6,11 +6,11 @@ A sentence's negatives are drawn with the key (run seed, sentence
 index), and every epoch visits the sentences in the same order, so
 every epoch scores the same pairs against the same negatives and
 per-epoch mean losses are comparable. One epoch loop serves both modes:
-workers take batches from one stream under a lock and apply their own
-updates. Deterministic mode has one worker, the calling thread, and is
-bit-reproducible for a fixed seed. Hogwild mode has `threads` workers
-that update embedding rows without a lock; it trains without the glyph
-channel, so the CNN only ever has one writer.
+`run_workers` hands the batches of one stream to the workers, and each
+applies its own updates. Deterministic mode has one worker, the calling
+thread, and is bit-reproducible for a fixed seed. Hogwild mode has
+`threads` workers that update embedding rows without a lock; it trains
+without the glyph channel, so the CNN only ever has one writer.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from .model import (ADAGRAD_EPS, DweModel, EmbeddingTables, adagrad_step,
 from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict, cjk_chars,
                          dump_glyph_records, load_glyph_pack, load_stroke_table,
                          ngram_label_pattern, parse_glyph_records)
+from .workers import run_workers
 
 CHECKPOINT_MAGIC = b"DWE1"
 CHECKPOINT_VERSION = 1
@@ -140,7 +141,7 @@ def _check_hogwild(config: TrainingConfig) -> None:
 
 
 def _check_resumable(old: TrainingConfig, new: TrainingConfig) -> None:
-    for key in ("dim", "n_min", "n_max"):
+    for key in ("dim", "n_min", "n_max", "use_ngrams", "use_glyphs"):
         if getattr(old, key) != getattr(new, key):
             raise ConfigMismatchError(
                 f"checkpoint has {key}={getattr(old, key)}, requested {getattr(new, key)}")
@@ -206,48 +207,24 @@ def _epoch_batches(sentences: list[np.ndarray], config: TrainingConfig,
 
 def _train_epoch(ckpt: Checkpoint, model: DweModel, sentences: list[np.ndarray],
                  sampler: NegativeSampler, keep_prob: np.ndarray | None) -> tuple[float, int]:
-    """One epoch; returns the summed loss and the number of pairs.
-
-    Each worker takes the next batch of the one `_epoch_batches` stream
-    under `lock` and applies its own gradients. The calling thread is one
-    of `threads` workers, and the only one in deterministic mode, which
-    `validate` limits to one thread. The first exception in any worker
-    stops the others and is raised here.
-    """
+    """One epoch on `threads` workers (`run_workers`), each applying its
+    own gradients; returns the summed loss and the number of pairs."""
     cfg = ckpt.config
-    batches = _epoch_batches(sentences, cfg, sampler, keep_prob)
-    lock = threading.Lock()
+    lock = threading.Lock()  # for the totals and ckpt.step
     totals = [0.0, 0]
-    errors: list[BaseException] = []
 
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    batch = None if errors else next(batches, None)
-                if batch is None:
-                    return
-                loss, grads = model.batch_loss_and_grads(*batch)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch={ckpt.epoch} step={ckpt.step}")
-                apply_grads(ckpt, grads, cfg.lr)
-                with lock:
-                    totals[0] += loss
-                    totals[1] += len(batch[0])
-                    ckpt.step += 1
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
+    def step(batch) -> None:
+        loss, grads = model.batch_loss_and_grads(*batch)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss at epoch={ckpt.epoch} step={ckpt.step}")
+        apply_grads(ckpt, grads, cfg.lr)
+        with lock:
+            totals[0] += loss
+            totals[1] += len(batch[0])
+            ckpt.step += 1
 
-    helpers = [threading.Thread(target=work) for _ in range(cfg.threads - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[0]
+    run_workers(_epoch_batches(sentences, cfg, sampler, keep_prob), step, cfg.threads,
+                "dwe-hogwild")
     return totals[0], totals[1]
 
 

@@ -90,6 +90,20 @@ class TestExitCodes:
         assert run(args + ["--no-glyphs"]) == 0
         assert load_checkpoint(tmp_path / "m.dwe").config.threads == 2
 
+    def test_resume_refuses_a_channel_switch(self, synth_data, model_path, tmp_path, capsys):
+        # the saved file would compose without the channel it was trained with
+        resume = tmp_path / "m.dwe"
+        resume.write_bytes(model_path.read_bytes())
+        args = ["train", "--corpus", str(synth_data.corpus_path),
+                "--strokes", str(synth_data.strokes_path),
+                "--glyphs", str(synth_data.glyphs_path), "--out", str(resume),
+                "--resume", str(resume), "--dim", "12", "--batch", "256", "--epochs", "1",
+                "--min-count", "1", "--negatives", "3", "--window", "3", "--seed", "5"]
+        for switch, key in (("--no-glyphs", "use_glyphs"), ("--no-strokes", "use_ngrams")):
+            assert run(args + [switch]) == 2
+            assert f"checkpoint has {key}=True, requested False" in capsys.readouterr().err
+            assert resume.read_bytes() == model_path.read_bytes()
+
 
 class TestHelpDefaults:
     @pytest.mark.parametrize("sub", ["train", "eval-sim", "eval-analogy",

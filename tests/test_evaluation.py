@@ -369,6 +369,15 @@ class TestDatasetLoaders:
         with pytest.raises(ValueError):
             load_analogy_dataset(p)
 
+    @pytest.mark.parametrize("load, good", [
+        (load_similarity_dataset, "你好\t再见\t3.5\n早\t晚\t1.0\n"),
+        (load_analogy_dataset, ": capital\na b h t\n")], ids=["similarity", "analogy"])
+    def test_loader_names_a_line_that_is_not_utf8(self, tmp_path, load, good):
+        p = tmp_path / "data.txt"
+        p.write_bytes(good.encode() + b"x\xff y\n")
+        with pytest.raises(ValueError, match="data.txt:3: not UTF-8"):
+            load(p)
+
 
 def test_stroke_only_ablation_pins_identical_stroke_chars():
     base = make_micro_model(seed=20, use_glyphs=False)
