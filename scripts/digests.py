@@ -8,11 +8,15 @@ with the defaults and once with each of three single-field changes, and
 prints one line per run: its name, the digest of `dump_checkpoint`, and
 `ok` if that digest is the one recorded below or `CHANGED` if not. The
 default run is also exported with each `which` of `export_vectors`, and
-each file's digest gets a line of its own. A last line is the composed
+each file's digest gets a line of its own. The seventh line is the composed
 export of an untrained (epochs=0) dim-12 model over 640 characters with
 random glyphs: more than two of `char_features`' CNN calls and ten glyph
 blocks of the CNN forward, where the synthetic set's 44 characters fill
-one block. Exits 1 if any digest changed.
+one block. The eighth trains one stroke-only epoch (dim 12 as above) on
+a registry built the same way but with stroke codes drawn from 1..3, so
+that many characters share each n-gram: a step holds 9 to 14 rows of its
+most shared n-gram, where the synthetic set's steps hold at most 2, so
+the n-gram gradient sums run that many rounds. Exits 1 if any digest changed.
 
 Usage:
     python3 scripts/digests.py
@@ -45,19 +49,21 @@ EXPORTS = {"composed": "d254e12417d7d6c36d7c4c9c5b3d99eab00016c8b984e5425a2bc3d2
            "word_id": "d52e1ef8b6a42a5e4121b943ae69accdae291ce66a0d1991bf00b24f5bc867aa"}
 WIDE_CHARS = 640
 WIDE_EXPORT = "07b38de5018b0d3ddedb20382742648a5a81ae14c656fe4497ba3da5c4057c80"
+SHARED_CODES = 3  # stroke codes of the shared-n-gram registry: 1..SHARED_CODES
+SHARED_TRAIN = "19d1b5db46602f3b2ef16776d15ec2b89d6e2bca6c3af5e07a16519f60a95220"
 
 
-def write_wide_registry(out_dir: Path) -> tuple[Path, Path, Path]:
+def write_wide_registry(out_dir: Path, codes: int = 32) -> tuple[Path, Path, Path]:
     """Corpus, stroke table and glyph pack of WIDE_CHARS characters: word i
     is characters i and i + 1 (mod WIDE_CHARS), each character has 4 to 8
-    random stroke codes and a random bitmap."""
+    random stroke codes in 1..codes and a random bitmap."""
     rng = np.random.default_rng(3)
     chars = [chr(0x4E00 + i) for i in range(WIDE_CHARS)]
     words = [a + b for a, b in zip(chars, chars[1:] + chars[:1])]
-    paths = (out_dir / "wide-corpus.txt", out_dir / "wide-strokes.tsv",
-             out_dir / "wide-glyphs.bin")
+    paths = (out_dir / f"wide{codes}-corpus.txt", out_dir / f"wide{codes}-strokes.tsv",
+             out_dir / f"wide{codes}-glyphs.bin")
     paths[0].write_text(" ".join(words) + "\n", encoding="utf-8")
-    write_stroke_table({c: rng.integers(1, 33, int(rng.integers(4, 9))).tolist()
+    write_stroke_table({c: rng.integers(1, codes + 1, int(rng.integers(4, 9))).tolist()
                         for c in chars}, paths[1])
     write_glyph_pack({c: rng.integers(0, 2, (GLYPH_SIDE, GLYPH_SIDE)) for c in chars},
                      paths[2])
@@ -89,6 +95,10 @@ def main() -> int:
         export_vectors(ckpt, path, "composed")
         all_ok &= check("wide-registry export composed",
                         hashlib.sha256(path.read_bytes()).hexdigest(), WIDE_EXPORT)
+        ckpt = train(*write_wide_registry(Path(out_dir), SHARED_CODES),
+                     TrainingConfig(**{**BASE, "epochs": 1, "use_glyphs": False}), log=None)
+        all_ok &= check("shared-ngram registry use_glyphs=False",
+                        hashlib.sha256(dump_checkpoint(ckpt)).hexdigest(), SHARED_TRAIN)
     return 0 if all_ok else 1
 
 

@@ -20,6 +20,13 @@ negatives), S[k, u] sums dJ/ds over the scores of center u against
 context k: 1 - sigma(s) for a positive, -sigma(s) for a negative. Then
 dJ/dC = S @ W and dJ/dW = S.T @ C, taken in blocks of d centers so that
 no block of S is larger than C.
+
+The gradient w.r.t. the character features is the transpose of the mean:
+each center's dW row over its character count, summed per character; the
+n-gram rows then sum those over the characters that hold each n-gram.
+Both sums go through _group_sum, which adds each key's rows in the order
+they occur, one round of distinct keys at a time, so neither needs an
+unbuffered `add.at` scatter and the bits do not depend on how it adds.
 """
 from __future__ import annotations
 
@@ -78,13 +85,33 @@ def _segment_sum(table: np.ndarray, idx: np.ndarray, ptr: np.ndarray) -> np.ndar
 
 
 def _group_sum(keys: np.ndarray, src: np.ndarray, pos: np.ndarray):
-    """(distinct keys, sum of src[pos[i]] over keys[i] == key); each key's
-    first row is a gather, and only its repeats go through np.add.at."""
-    ids, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    out = src[pos[first]]
-    rest = np.ones(len(keys), dtype=bool)
-    rest[first] = False
-    np.add.at(out, inv[rest], src[pos[rest]])
+    """(distinct keys in increasing order, sum of src[pos[i]] over keys[i] ==
+    key). Each sum is its key's first row, then its later rows added one at a
+    time in the order they occur in keys: the order, and so the bits, of an
+    unbuffered `add.at` scatter.
+
+    A stable argsort of keys puts each key's rows together, in that order.
+    The first rows are one gather; round r then adds every key's (r + 1)-th
+    row with one fancy-indexed +=. A plain += would keep only one of two
+    writes to the same row, but the rows of one round belong to distinct
+    keys, so no round needs `add.at`. There are as many rounds as the most
+    rows of any one key, less one."""
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    new = np.ones(len(sk), dtype=bool)
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    ids, out = sk[starts], src[pos[order[starts]]]
+    # the later rows by rank, their place in their key (>= 1); round r adds
+    # rows[cuts[r - 1]:cuts[r]] to out[dst[cuts[r - 1]:cuts[r]]]
+    rest = np.flatnonzero(~new)
+    dst = np.searchsorted(starts, rest, side="right") - 1
+    rank = rest - starts[dst]
+    by_rank = np.argsort(rank, kind="stable")
+    dst, rows, cuts = dst[by_rank], pos[order[rest[by_rank]]], np.cumsum(np.bincount(rank))
+    del order, sk, new, starts  # one key-length array each; free them before the rounds
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        out[dst[a:b]] += src[rows[a:b]]
     return ids, out
 
 

@@ -89,6 +89,8 @@ class TrainingConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "deterministic" and self.threads > 1:
             raise ValueError("deterministic mode trains one thread; use hogwild for more")
 

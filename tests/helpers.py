@@ -105,6 +105,18 @@ def sgns_reference_adagrad(param, grad, acc, lr, eps):
     param += lr * grad / (np.sqrt(acc) + eps)
 
 
+def group_sum_reference(keys, src, pos):
+    """`model._group_sum` through np.add.at, the reference for its add order:
+    each key's first row is a gather, and np.add.at adds its later rows in
+    the order they occur."""
+    ids, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    out = src[pos[first]]
+    rest = np.ones(len(keys), dtype=bool)
+    rest[first] = False
+    np.add.at(out, inv[rest], src[pos[rest]])
+    return ids, out
+
+
 # -- brute-force analogy oracles -------------------------------------------
 
 def _cos(u, v):

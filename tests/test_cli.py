@@ -53,6 +53,17 @@ class TestExitCodes:
             assert "lr must be finite" in capsys.readouterr().err
             assert not (tmp_path / "m.dwe").exists()
 
+    def test_negative_seed_is_2_before_any_input_is_read(self, tmp_path, capsys):
+        # numpy would refuse the seed only after the inputs were read, without naming it
+        missing = str(tmp_path / "missing")
+        args = ["train", "--corpus", missing, "--strokes", missing, "--glyphs", missing,
+                "--out", str(tmp_path / "m.dwe"), "--seed", "-1"]
+        for extra in ([], ["--resume", missing]):
+            assert run(args + extra) == 2
+            err = capsys.readouterr().err
+            assert "seed must be >= 0" in err and "missing" not in err
+            assert not (tmp_path / "m.dwe").exists()
+
     @pytest.mark.parametrize("table, row, value, which, named", [
         ("word_id_vecs", 1, np.inf, "composed", "word '人'"),
         ("word_id_vecs", 1, np.inf, "word_id", "word '人'"),

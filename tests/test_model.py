@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwe import model as model_module
 from dwe.corpus import Vocab
@@ -11,8 +13,8 @@ from dwe.glyph_cnn import CnnTape, cnn_forward_batch, cnn_init
 from dwe.model import (ADAGRAD_BLOCK, INIT_CHUNK, DweModel, adagrad_step, adagrad_step_rows,
                        init_tables, log_sigmoid, sigmoid)
 from dwe.morphology import build_ngram_dict
-from helpers import (check_grad_tensor, make_micro_model, sgns_reference_adagrad,
-                     with_char_ngrams)
+from helpers import (check_grad_tensor, group_sum_reference, make_micro_model,
+                     sgns_reference_adagrad, with_char_ngrams)
 
 
 class TestLogSigmoid:
@@ -293,6 +295,32 @@ class TestSkipGramDegeneracy:
             assert abs(loss - ref_loss) < 1e-12
             np.testing.assert_allclose(m.tables.word_id_vecs, ref_w, atol=1e-12)
             np.testing.assert_allclose(m.tables.context_vecs, ref_c, atol=1e-12)
+
+
+GROUP_KEYS = st.one_of(
+    st.just([]),                                                     # no keys
+    st.integers(0, 10**6).map(lambda k: [k] * 50),                   # one key, 50 rows
+    st.lists(st.integers(0, 10**6), unique=True, min_size=1, max_size=60),  # all distinct
+    st.lists(st.integers(0, 15), min_size=1, max_size=120))          # random repeats
+
+
+@settings(max_examples=80, deadline=None)
+@given(keys=GROUP_KEYS, dtype=st.sampled_from([np.float32, np.float64]),
+       d=st.sampled_from([1, 2, 300]), seed=st.integers(0, 2**32 - 1))
+def test_group_sum_equals_the_add_at_reference_bit_for_bit(keys, dtype, d, seed):
+    rng = np.random.default_rng(seed)
+    keys = np.array(keys, dtype=np.int64)
+    # values of mixed scale, so that another add order would round differently
+    src = (rng.normal(size=(int(rng.integers(1, 40)), d))
+           * 10.0 ** rng.integers(-3, 4, size=(1, d))).astype(dtype)
+    pos = rng.integers(0, len(src), len(keys))
+    ids, out = model_module._group_sum(keys, src, pos)
+    ref_ids, ref_out = group_sum_reference(keys, src, pos)
+    assert ids.dtype == ref_ids.dtype and np.array_equal(ids, ref_ids)
+    assert (ids[1:] > ids[:-1]).all()
+    assert out.dtype == ref_out.dtype and out.shape == ref_out.shape == (len(ids), d)
+    assert out.tobytes() == ref_out.tobytes()
+    assert not np.shares_memory(out, src)
 
 
 class TestAdagrad:

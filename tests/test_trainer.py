@@ -878,7 +878,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("lr", float("nan")), ("lr", float("inf")), ("subsample", -0.5),
         ("subsample", float("nan")), ("subsample", float("inf")), ("threads", 0),
-        ("threads", -3)])
+        ("threads", -3), ("seed", -1)])
     def test_rejects_values_that_cannot_train(self, field, value, tmp_path):
         cfg = replace(small_config(), **{field: value})
         with pytest.raises(ValueError, match=field):
