@@ -6,7 +6,6 @@ markers are represented internally as codes 0 (begin) and 33 (end).
 """
 from __future__ import annotations
 
-import re
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -26,6 +25,14 @@ GLYPH_BYTES = GLYPH_SIDE * GLYPH_SIDE // 8  # 98
 
 GLYPH_MAGIC = b"DWEG"
 GLYPH_VERSION = 0x01
+GLYPH_RECORD = np.dtype([("cp", "<u4"), ("bits", np.uint8, GLYPH_BYTES)])
+
+# Records per np.unpackbits call, and labels per block of check_ngram_labels.
+# A block's arrays stay at tens of KB. Larger ones did not fit the free heap
+# that a checkpoint's text sections leave, and raised the peak memory of
+# `query` and `export` by up to 1.5 MB (ROADMAP "Measured and settled").
+GLYPH_BLOCK = 64
+LABEL_BLOCK = 2048
 
 
 class StrokeTableError(ValueError):
@@ -74,11 +81,39 @@ def extract_ngrams(codes: list[int] | tuple[int, ...], n_min: int, n_max: int) -
     return out
 
 
-def ngram_label_pattern(n_min: int, n_max: int) -> re.Pattern:
-    """The labels `extract_ngrams` can yield for these lengths: `n_min` to
-    `n_max` codes in BOS..EOS, in canonical decimal, joined by commas."""
-    code = "(?:[12]?[0-9]|3[0-3])"  # 0..33
-    return re.compile(rf"{code}(?:,{code}){{{n_min - 1},{n_max - 1}}}")
+def decimal_fields(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split the lines (which hold no newline), each taken as ended by a
+    newline, into fields at commas and newlines, classifying their UTF-8
+    bytes once: a line of k commas has k + 1 fields, an empty line one
+    empty field. Returns the bytes and, per field, the offset of the comma
+    or newline that ends it, its length and whether a newline ends it. A
+    byte other than an ASCII digit, a comma or a newline (a sign, a space,
+    a full-width digit) is a ValueError naming its line."""
+    data = np.frombuffer(("\n".join(lines) + "\n" if lines else "").encode(), np.uint8)
+    newline = data == ord("\n")
+    sep = newline | (data == ord(","))
+    other = ~sep & ((data < ord("0")) | (data > ord("9")))
+    if other.any():
+        raise ValueError(f"{lines[np.count_nonzero(newline[:other.argmax()])]!r} holds a "
+                         "character that is not a digit or comma")
+    ends = np.flatnonzero(sep)
+    return data, ends, np.diff(ends, prepend=-1) - 1, newline[ends]
+
+
+def check_ngram_labels(labels: list[str], n_min: int, n_max: int) -> None:
+    """Raise ValueError unless every label is one `extract_ngrams` can
+    yield for these lengths: `n_min` to `n_max` codes in BOS..EOS, in
+    canonical decimal, joined by commas. Works on the bytes of
+    LABEL_BLOCK labels at once (`decimal_fields`): a code is one digit, or
+    two digits of which the first is 1 or 2, or 3 before a digit up to 3."""
+    for lo in range(0, len(labels), LABEL_BLOCK):
+        data, ends, lengths, line_end = decimal_fields(labels[lo:lo + LABEL_BLOCK])
+        first, last = data[ends - lengths], data[ends - 1]
+        two = (first == ord("1")) | (first == ord("2")) | ((first == ord("3")) & (last <= ord("3")))
+        codes = np.diff(np.flatnonzero(line_end), prepend=-1)  # per label
+        if (not ((lengths == 1) | ((lengths == 2) & two)).all()
+                or not ((n_min <= codes) & (codes <= n_max)).all()):
+            raise ValueError(f"an n-gram is not {n_min} to {n_max} codes in 0..33")
 
 
 @dataclass
@@ -159,13 +194,6 @@ def pack_bitmap(pixels: np.ndarray) -> bytes:
     return np.packbits(validate_bitmap(pixels).reshape(-1)).tobytes()
 
 
-def unpack_bitmap(payload: bytes) -> np.ndarray:
-    if len(payload) != GLYPH_BYTES:
-        raise ValueError(f"expected {GLYPH_BYTES} bytes, got {len(payload)}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return bits.reshape(GLYPH_SIDE, GLYPH_SIDE)
-
-
 def load_glyph_pack(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -182,21 +210,28 @@ def parse_glyph_pack(data: bytes, name: str = "<glyph pack>") -> dict[str, np.nd
 
 def parse_glyph_records(data: bytes | memoryview, name: str) -> dict[str, np.ndarray]:
     """Decode a u32 record count and then each record, a u32 codepoint and
-    a packed bitmap: a glyph pack without its magic and version."""
-    rec_size = 4 + GLYPH_BYTES
+    a packed bitmap: a glyph pack without its magic and version. The
+    records are read as one structured array and unpacked GLYPH_BLOCK at
+    a time by `np.unpackbits`; each bitmap is a 28x28 view of its block.
+    The first record, in record order, whose codepoint is out of range or
+    repeats an earlier one is named in the GlyphPackError."""
     count = struct.unpack_from("<I", data)[0] if len(data) >= 4 else 0
-    if len(data) != 4 + count * rec_size:
+    if len(data) != 4 + count * GLYPH_RECORD.itemsize:
         raise GlyphPackError(f"{name}: truncated (header says {count} records)")
-    glyphs: dict[str, np.ndarray] = {}
-    for off in range(4, len(data), rec_size):
-        (cp,) = struct.unpack_from("<I", data, off)
-        if cp > 0x10FFFF:
-            raise GlyphPackError(f"{name}: codepoint U+{cp:04X} out of range")
-        ch = chr(cp)
-        if ch in glyphs:
-            raise GlyphPackError(f"{name}: duplicate codepoint U+{cp:04X}")
-        glyphs[ch] = unpack_bitmap(data[off + 4:off + rec_size])
-    return glyphs
+    records = np.frombuffer(data, GLYPH_RECORD, count, 4)
+    cps = records["cp"]
+    order = np.argsort(cps, kind="stable")
+    repeats = order[1:][cps[order[1:]] == cps[order[:-1]]]
+    bad = np.concatenate([np.flatnonzero(cps > 0x10FFFF)[:1], repeats])
+    if bad.size:
+        cp = int(cps[bad.min()])
+        raise GlyphPackError(f"{name}: codepoint U+{cp:04X} out of range" if cp > 0x10FFFF
+                             else f"{name}: duplicate codepoint U+{cp:04X}")
+    bits = records["bits"]
+    bitmaps = [bitmap for lo in range(0, count, GLYPH_BLOCK)
+               for bitmap in np.unpackbits(bits[lo:lo + GLYPH_BLOCK], axis=1)
+               .reshape(-1, GLYPH_SIDE, GLYPH_SIDE)]
+    return dict(zip(map(chr, cps.tolist()), bitmaps))
 
 
 def dump_glyph_pack(glyphs: dict[str, np.ndarray]) -> bytes:

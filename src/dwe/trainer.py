@@ -31,9 +31,9 @@ from .corpus import NegativeSampler, Vocab, build_vocab, context_pairs, read_sen
 from .glyph_cnn import CnnParams, cnn_init, cnn_shapes
 from .model import (ADAGRAD_EPS, DweModel, EmbeddingTables, adagrad_step,
                     adagrad_step_rows, init_tables)
-from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict, cjk_chars,
-                         dump_glyph_records, load_glyph_pack, load_stroke_table,
-                         ngram_label_pattern, parse_glyph_records)
+from .morphology import (GlyphPackError, StrokeNgramDict, build_ngram_dict,
+                         check_ngram_labels, cjk_chars, decimal_fields, dump_glyph_records,
+                         load_glyph_pack, load_stroke_table, parse_glyph_records)
 from .workers import run_workers
 
 CHECKPOINT_MAGIC = b"DWE1"
@@ -502,26 +502,64 @@ def _parse_vocab(lines: list[str]) -> Vocab:
     return vocab
 
 
+ID_BLOCK = 256  # lines per `_ngram_ids` call; as `morphology.LABEL_BLOCK`, for peak memory
+
+
 def _parse_ngram_dict(lines: list[str], config: TrainingConfig,
                       chars: list[str]) -> StrokeNgramDict:
+    """The n-gram dictionary of the section's lines, checked by array
+    passes over blocks of lines instead of per-label and per-id calls: the
+    labels by `check_ngram_labels`, the `CHAR<TAB>ids` lines by
+    `_ngram_ids`. `text` compares the writer's bytes, which rejects every
+    form the writer never gives (leading zeros, an empty id)."""
     n_ngrams = int(lines[1].partition("=")[2])
     ngrams = lines[2:2 + n_ngrams]
-    if not all(map(ngram_label_pattern(config.n_min, config.n_max).fullmatch, ngrams)):
-        raise ValueError(f"an n-gram is not {config.n_min} to {config.n_max} codes in 0..33")
+    check_ngram_labels(ngrams, config.n_min, config.n_max)
     if len(set(ngrams)) != n_ngrams:
         raise ValueError(f"expected {n_ngrams} distinct n-grams")
     pos = 2 + n_ngrams
     n_chars = int(lines[pos].partition("=")[2])
+    keyed = [line.partition("\t") for line in lines[pos + 1:pos + 1 + n_chars]]
     per_char = {}
-    for line in lines[pos + 1:pos + 1 + n_chars]:
-        ch, _, ids = line.partition("\t")
-        got = per_char[ch] = [int(s) for s in ids.split(",")] if ids else []
-        if len(set(got)) != len(got) or not all(0 <= i < n_ngrams for i in got):
-            raise ValueError(f"character {ch!r}: n-gram ids not distinct "
-                             f"or not in [0, {n_ngrams})")
+    for lo in range(0, len(keyed), ID_BLOCK):
+        block = keyed[lo:lo + ID_BLOCK]
+        per_char.update(zip([ch for ch, _, _ in block], _ngram_ids(block, n_ngrams)))
     if not per_char.keys() <= set(chars):
         raise ValueError("a character is not a CJK character of the vocab")
     return StrokeNgramDict(ngrams, per_char)
+
+
+def _ngram_ids(keyed: list[tuple[str, str, str]], n_ngrams: int) -> list[list[int]]:
+    """The ids of each partitioned `CHAR<TAB>ids` line, read from the
+    lines' joined bytes (`decimal_fields`): each id's value is summed by
+    decimal place, one comparison checks the range and one sort of
+    (line, id) keys finds an id repeated within a line. A list must be
+    distinct ids in [0, n_ngrams); the first character whose list is not
+    is named in the ValueError."""
+    data, ends, lengths, line_end = decimal_fields([ids for _, _, ids in keyed])
+    line = np.cumsum(line_end) - line_end  # the line of each field
+    # an empty line is a character without n-grams; the writer compare
+    # rejects every other empty field
+    held = lengths > 0
+    ends, lengths, line = ends[held], lengths[held], line[held]
+    # each id's last 18 digits, which fit an int64; a longer id is never
+    # written, so the writer compare rejects it
+    values = np.zeros(len(ends), np.int64)
+    for k in range(min(int(lengths.max(initial=0)), 18)):
+        place = (data[ends - 1 - k] - ord("0")).astype(np.int64)
+        place[lengths <= k] = 0
+        values += place * 10 ** k
+    # an id out of range may take the key of a later line's id, but the
+    # range check names its own, earlier line
+    keys = np.sort(line * (n_ngrams + 1) + values)
+    repeats = keys[1:][keys[1:] == keys[:-1]] // (n_ngrams + 1)
+    bad = np.concatenate([line[values >= n_ngrams][:1], repeats[:1]])
+    if bad.size:
+        raise ValueError(f"character {keyed[bad.min()][0]!r}: n-gram ids not distinct "
+                         f"or not in [0, {n_ngrams})")
+    ids = values.tolist()
+    bounds = np.searchsorted(line, np.arange(len(keyed) + 1)).tolist()
+    return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _parse_counters(lines: list[str]) -> tuple[int, int]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from dwe.corpus import Vocab
 from dwe.glyph_cnn import CnnParams, cnn_init, cnn_shapes
 from dwe.model import DweModel, EmbeddingTables, init_tables
-from dwe.morphology import StrokeNgramDict, build_ngram_dict
+from dwe.morphology import GLYPH_BYTES, GLYPH_SIDE, StrokeNgramDict, build_ngram_dict
 from dwe.trainer import Checkpoint, TrainingConfig
 
 CJK_BASE = 0x4E00
@@ -46,6 +47,33 @@ def with_char_ngrams(model, edits):
     glyphs = {c: model.char_bitmaps[i] for i, c in enumerate(model.chars)}
     return DweModel(model.vocab, replace(model.ngram_dict, per_char=per_char), glyphs,
                     model.tables, model.cnn, model.use_ngrams, model.use_glyphs)
+
+
+def ngram_label_pattern(n_min: int, n_max: int) -> re.Pattern:
+    """The labels `extract_ngrams` can yield for these lengths: `n_min` to
+    `n_max` codes in BOS..EOS, in canonical decimal, joined by commas. The
+    reference for `morphology.check_ngram_labels`."""
+    code = "(?:[12]?[0-9]|3[0-3])"  # 0..33
+    return re.compile(rf"{code}(?:,{code}){{{n_min - 1},{n_max - 1}}}")
+
+
+def ngram_ids_reference(ids: str, n_ngrams: int) -> list[int]:
+    """The ids of a `CHAR<TAB>ids` line of the n-gram dictionary, read one
+    at a time with `int`: the reference for `trainer._ngram_ids`. Raises
+    ValueError unless they are distinct and in [0, n_ngrams)."""
+    got = [int(s) for s in ids.split(",")] if ids else []
+    if len(set(got)) != len(got) or not all(0 <= i < n_ngrams for i in got):
+        raise ValueError(f"n-gram ids not distinct or not in [0, {n_ngrams})")
+    return got
+
+
+def unpack_bitmap(payload: bytes) -> np.ndarray:
+    """One packed glyph bitmap unpacked on its own, the reference for the
+    records `morphology.parse_glyph_records` unpacks in blocks."""
+    if len(payload) != GLYPH_BYTES:
+        raise ValueError(f"expected {GLYPH_BYTES} bytes, got {len(payload)}")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    return bits.reshape(GLYPH_SIDE, GLYPH_SIDE)
 
 
 def central_difference(arr, index, loss_fn, h=1e-5):

@@ -16,13 +16,13 @@ from dwe.evaluation import Evaluator, cosine, spearman_rho
 from dwe.glyph_cnn import cnn_forward_batch
 from dwe.model import adagrad_step_rows
 from dwe.morphology import (extract_ngrams, is_cjk, pack_bitmap,
-                            parse_glyph_pack, dump_glyph_pack, unpack_bitmap)
+                            parse_glyph_pack, dump_glyph_pack)
 from dwe.synthetic import make_synthetic_dataset
 from dwe.trainer import (TrainingConfig, dump_checkpoint, export_vectors,
                          load_checkpoint, save_checkpoint, train)
 from helpers import (brute_3cosadd, brute_3cosmul, check_grad_tensor, load_vectors,
                      make_micro_model, sgns_reference_adagrad,
-                     sgns_reference_batch)
+                     sgns_reference_batch, unpack_bitmap)
 
 
 def _report(criterion: int, detail: str) -> None:

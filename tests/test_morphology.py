@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwe import morphology
 from dwe.morphology import (BOS, EOS, GlyphPackError, StrokeTableError,
-                            build_ngram_dict, cjk_chars, dump_glyph_pack, extract_ngrams,
-                            is_cjk, load_glyph_pack, load_stroke_table, ngram_label_pattern,
-                            ngram_str, pack_bitmap, parse_glyph_pack,
-                            unpack_bitmap, write_glyph_pack, write_stroke_table)
+                            build_ngram_dict, check_ngram_labels, cjk_chars, dump_glyph_pack,
+                            extract_ngrams, is_cjk, load_glyph_pack, load_stroke_table,
+                            ngram_str, pack_bitmap, parse_glyph_pack, write_glyph_pack,
+                            write_stroke_table)
+from helpers import ngram_label_pattern, unpack_bitmap
+
+
+def labels_accepted(labels, n_min, n_max):
+    try:
+        check_ngram_labels(labels, n_min, n_max)
+    except ValueError:
+        return False
+    return True
 
 
 class TestIsCjk:
@@ -71,16 +81,42 @@ class TestExtractNgrams:
         rng = np.random.default_rng(n_max)
         for k in range(1, 10):
             codes = [int(c) for c in rng.integers(1, 33, k)]
-            for label in extract_ngrams(codes, n_min, n_max):
+            labels = extract_ngrams(codes, n_min, n_max)
+            for label in labels:
                 assert pattern.fullmatch(label), label
-        assert all(pattern.fullmatch(",".join([str(c)] * n_min)) for c in range(BOS, EOS + 1))
+            check_ngram_labels(labels, n_min, n_max)
+        every_code = [",".join([str(c)] * n_min) for c in range(BOS, EOS + 1)]
+        assert all(map(pattern.fullmatch, every_code))
+        check_ngram_labels(every_code, n_min, n_max)
 
     @pytest.mark.parametrize("label", ["34", "02", "0,34,33", "0,02,33", "0,2", "0,1,2,3,4,5,33",
                                        "1,2,", ",1,2", "1,,2", "1 ,2,3", "-1,2,3"])
     def test_label_pattern_rejects(self, label):
         assert ngram_label_pattern(3, 6).fullmatch(label) is None
+        assert not labels_accepted(["0,1,2", label, "3,4,5"], 3, 6)
         if "," not in label:
             assert ngram_label_pattern(1, 1).fullmatch(label) is None
+            assert not labels_accepted([label], 1, 1)
+
+    def test_label_check_covers_every_block(self, monkeypatch):
+        monkeypatch.setattr(morphology, "LABEL_BLOCK", 2)
+        labels = extract_ngrams([4, 7, 9, 2], 3, 6)
+        check_ngram_labels(labels, 3, 6)
+        for at in range(len(labels)):
+            assert not labels_accepted(labels[:at] + ["0,34,33"] + labels[at + 1:], 3, 6)
+
+    @settings(max_examples=400)
+    @given(labels=st.lists(st.one_of(
+               st.text("0123456789,٣３ aZ", max_size=12),
+               st.lists(st.integers(0, 40), max_size=7).map(lambda c: ",".join(map(str, c)))),
+               max_size=4),
+           lengths=st.sampled_from([(1, 1), (1, 3), (3, 6), (2, 2)]))
+    def test_label_check_accepts_what_the_pattern_accepts(self, labels, lengths):
+        pattern = ngram_label_pattern(*lengths)
+        for label in labels:
+            assert labels_accepted([label], *lengths) == bool(pattern.fullmatch(label)), label
+        # every label at once, as a checkpoint's n-gram section is checked
+        assert labels_accepted(labels, *lengths) == all(map(pattern.fullmatch, labels))
 
 
 class TestNgramDict:
@@ -168,15 +204,18 @@ class TestGlyphPack:
         assert (glyphs["一"] == 0).all()
 
     def test_round_trip_bit_identical(self, tmp_path):
+        # more records than two unpacking blocks hold
         rng = np.random.default_rng(5)
         glyphs = {chr(0x4E00 + i): rng.integers(0, 2, (28, 28)).astype(np.uint8)
-                  for i in range(10)}
+                  for i in range(2 * morphology.GLYPH_BLOCK + 3)}
         p = tmp_path / "g.bin"
         write_glyph_pack(glyphs, p)
         back = load_glyph_pack(p)
-        assert set(back) == set(glyphs)
+        assert list(back) == sorted(glyphs)
         for ch in glyphs:
+            assert back[ch].dtype == np.uint8 and back[ch].shape == (28, 28)
             assert (back[ch] == glyphs[ch]).all()
+            assert (back[ch] == unpack_bitmap(pack_bitmap(glyphs[ch]))).all()
 
     def test_truncation_detected(self):
         blob = dump_glyph_pack({"一": np.ones((28, 28), dtype=np.uint8)})

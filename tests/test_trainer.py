@@ -12,19 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwe import morphology as morphology_module
 from dwe import trainer as trainer_module
 from dwe.cli import run
 from dwe.corpus import NegativeSampler, Vocab, context_pairs
 from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams
 from dwe.model import ADAGRAD_EPS, EmbeddingTables, Grads
-from dwe.morphology import StrokeNgramDict, dump_glyph_records
+from dwe.morphology import StrokeNgramDict, build_ngram_dict, dump_glyph_records
 from dwe.trainer import (FORMAT_BLOCK, FORMAT_LIMIT, CheckpointError, ConfigMismatchError,
                          TrainingConfig, TrainingDivergedError, _epoch_batches, _write_rows,
                          apply_grads, dump_checkpoint,
                          export_vectors, init_checkpoint, load_checkpoint,
                          save_checkpoint, train, train_checkpoint)
-from helpers import handmade_checkpoint, load_vectors
+from helpers import handmade_checkpoint, load_vectors, ngram_ids_reference
 
 
 def small_config(**kw):
@@ -495,6 +496,46 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="glyph section.*duplicate"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("zhong, guo", [("0,0,2", "9"), ("0,1,9", "2,2")],
+                             ids=["repeat-before-range", "range-before-repeat"])
+    def test_first_bad_ngram_id_list_named(self, zhong, guo, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint())
+        payloads = split_sections(blob)
+        payloads[2] = payloads[2].replace("中\t0,1,2".encode(), f"中\t{zhong}".encode()) \
+                                 .replace("国\t2".encode(), f"国\t{guo}".encode())
+        p = tmp_path / "b.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="character '中': n-gram ids not distinct"):
+            load_checkpoint(p)
+
+    def test_ngram_section_read_in_blocks_of_one(self, monkeypatch, tmp_path):
+        # a block per label and per character: the same dictionary, and a
+        # bad id list in a later block names its own character
+        monkeypatch.setattr(trainer_module, "ID_BLOCK", 1)
+        monkeypatch.setattr(morphology_module, "LABEL_BLOCK", 1)
+        ckpt = handmade_checkpoint()
+        blob = dump_checkpoint(ckpt)
+        p = tmp_path / "m.dwe"
+        p.write_bytes(blob)
+        assert load_checkpoint(p).ngram_dict == ckpt.ngram_dict
+        payloads = split_sections(blob)
+        payloads[2] = payloads[2].replace("国\t2".encode(), "国\t2,2".encode())
+        p = tmp_path / "r.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        with pytest.raises(CheckpointError, match="character '国': n-gram ids not distinct"):
+            load_checkpoint(p)
+
+    def test_duplicate_glyph_rejected_names_the_first_repeat(self, tmp_path):
+        blob = dump_checkpoint(handmade_checkpoint())
+        payloads = split_sections(blob)
+        zhong, guo = payloads[3][4:106], payloads[3][106:]  # U+4E2D, U+56FD
+        payloads[3] = (4).to_bytes(4, "little") + zhong + guo + guo + zhong
+        p = tmp_path / "d.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        # the third record repeats first; the fourth repeats a lower codepoint
+        with pytest.raises(CheckpointError, match="glyph section: duplicate codepoint U\\+56FD"):
+            load_checkpoint(p)
+
     def test_glyphs_out_of_order_rejected(self, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint())
         payloads = split_sections(blob)
@@ -608,6 +649,19 @@ class TestCheckpointIO:
                                             "skipped=3\n中\n日\n".encode())),
         (1, lambda payload: payload.replace("日本\t2".encode(),
                                             "日本\t99999999999999999999".encode())),
+        # n-gram ids and labels in forms the writer never gives
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t+2".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t 2".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t02".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t２".encode())),
+        (2, lambda payload: payload.replace("中\t0,1,2".encode(), "中\t0,,1".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t2,".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t12345678901234567890".encode())),
+        (2, lambda payload: payload.replace("国\t2".encode(), "国\t00000000000000000002".encode())),
+        (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n5,33\n")),
+        (2, lambda payload: payload.replace(b"\n0,2,5,33\n", b"\n0,2,5,33,33\n")),
+        (2, lambda payload: payload.replace(b"\n2,5,33\n", b"\n\n")),
+        (2, lambda payload: payload.replace(b"\n2,5,33\n", "\n2,５,33\n".encode())),
     ], ids=["empty-vocab", "empty-ngram-dict", "non-integer-config", "non-utf8-vocab",
             "counters-without-step", "ngram-id-out-of-range", "negative-ngram-id",
             "repeated-ngram-id", "duplicate-character", "duplicate-word", "zero-count",
@@ -620,7 +674,11 @@ class TestCheckpointIO:
             "config-crlf", "counters-no-final-newline", "ngram-leading-zero",
             "skipped-unsorted", "chars-unsorted", "ngram-code-above-33",
             "char-key-two-characters", "skipped-repeated", "char-also-skipped",
-            "vocab-count-beyond-int64"])
+            "vocab-count-beyond-int64", "ngram-id-plus-sign", "ngram-id-space",
+            "ngram-id-leading-zero", "ngram-id-full-width", "ngram-id-empty",
+            "ngram-ids-trailing-comma", "ngram-id-20-digits", "ngram-id-20-digits-zero-padded",
+            "ngram-too-few-codes", "ngram-too-many-codes", "ngram-empty-label",
+            "ngram-full-width-digit"])
     def test_text_section_errors(self, section, edit, tmp_path):
         blob = dump_checkpoint(handmade_checkpoint())
         payloads = split_sections(blob)
@@ -632,6 +690,48 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=r"bad .* section"):
             load_checkpoint(p)
         assert run(["nn", "--model", str(p), "--word", "人"]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.one_of(st.text("0123456789,+- ２\t_", max_size=8),
+                         st.lists(st.integers(0, 4), max_size=4).map(lambda i: ",".join(map(str, i)))))
+    def test_ngram_ids_load_as_int_reads_them(self, tmp_path_factory, ids):
+        # a character's ids load iff `int` reads them as distinct ids in
+        # [0, 3) and the writer gives them back as they were written
+        blob = dump_checkpoint(handmade_checkpoint())
+        payloads = split_sections(blob)
+        payloads[2] = payloads[2].replace("国\t2\n".encode(), f"国\t{ids}\n".encode())
+        p = tmp_path_factory.mktemp("ids") / "m.dwe"
+        p.write_bytes(join_sections(blob, payloads))
+        try:
+            expected = ngram_ids_reference(ids, 3)
+        except ValueError:
+            expected = None
+        if expected is None or ",".join(map(str, expected)) != ids:
+            with pytest.raises(CheckpointError, match="bad n-gram dictionary section"):
+                load_checkpoint(p)
+        else:
+            assert load_checkpoint(p).ngram_dict.per_char["国"] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(strokes=st.lists(st.lists(st.integers(1, 32), min_size=1, max_size=7), max_size=6),
+           one_stroke=st.integers(1, 32), lacking=st.integers(0, 2),
+           lengths=st.sampled_from([(1, 1), (1, 3), (3, 6), (6, 6), (6, 8)]))
+    def test_ngram_dict_round_trip(self, tmp_path_factory, strokes, one_stroke, lacking, lengths):
+        # "字" has one stroke, so n_min=6 leaves it no n-gram: a `字\t` line
+        table = {chr(0x4E00 + 3 * i): codes for i, codes in enumerate(strokes)}
+        table["字"] = [one_stroke]
+        chars = sorted([*table, *(chr(0x9F00 + i) for i in range(lacking))])
+        vocab = Vocab(chars, np.ones(len(chars), np.int64), len(chars))
+        cfg = TrainingConfig(dim=2, n_min=lengths[0], n_max=lengths[1], min_count=1)
+        nd = build_ngram_dict(table, chars, *lengths)
+        blob = dump_checkpoint(init_checkpoint(vocab, nd, {}, cfg))
+        assert ("\n字\t\n".encode() in split_sections(blob)[2]) == (lengths[0] == 6)
+        p = tmp_path_factory.mktemp("round") / "m.dwe"
+        p.write_bytes(blob)
+        back = load_checkpoint(p)
+        assert back.ngram_dict == nd
+        assert all(type(i) is int for ids in back.ngram_dict.per_char.values() for i in ids)
+        assert dump_checkpoint(back) == blob
 
     def test_failed_save_leaves_old_file(self, trained, tmp_path):
         p = tmp_path / "m.dwe"
