@@ -4,6 +4,31 @@ All queries run against a frozen checkpoint; CNN features per character
 are computed once and cached. Out-of-vocabulary tokens are represented
 by the average of their known CJK character features; tokens with no
 usable characters (and zero vectors) are unrepresentable.
+
+Every answer and every reported cosine comes from the float64 unit rows
+`_unit`, bit for bit as the full product `_unit @ q` gives it, yet a
+query reads the float64 rows only near its answer. It runs in two passes:
+
+- Screen: the float32 product `_unit32 @ q32` of the rows' and the
+  query's float32 roundings. For any row x (unit or zero) and any
+  summation order, with or without FMA, |s32 - x.q| <= g * |x| * |q|,
+  g = (d + 2)u / (1 - (d + 2)u), u = 2**-24 (Higham, "Accuracy and
+  Stability of Numerical Algorithms", sec. 3.1): about 1.8e-5 at d = 300.
+  `_screen_error` widens g by a relative 2**-10, which covers |x| > 1 by
+  rounding, the float64 rounding of x.q and the float64 comparisons, and
+  adds d * 2**-146 for conversions and products that underflow. A row
+  is kept if its exact score could reach the answer under that bound.
+- Refine: the kept rows' exact scores, from one gather of the aligned
+  REFINE_ROWS-row blocks of `_unit` that hold them. The matrix-vector
+  kernel rounds a row by its place in a group of rows; an aligned block
+  keeps every row's place, only the last block is short, and a one-row
+  product, which BLAS sends to its dot kernel, is never issued. The
+  answer is then picked from the exact scores with the full scan's tie
+  rules.
+
+The bits match the full product with one BLAS thread, as the benchmark
+runs. With more, BLAS may split a large product at a row that is not a
+block boundary, and the bits of the rows next to the split depend on it.
 """
 from __future__ import annotations
 
@@ -15,9 +40,20 @@ import numpy as np
 from .trainer import VECTOR_SOURCES, Checkpoint, CheckpointError
 
 EPS_3COSMUL = 0.001
-# rows of `Evaluator._unit` per block of one sweep: 256 x 300 float64 is
-# 600 KB, so a block stays in L2 while every query vector passes over it
-SWEEP_ROWS = 256
+# rows of `_unit` per aligned block of an exact product; a group of BLAS's
+# matrix-vector kernel never straddles a block
+REFINE_ROWS = 16
+# rows of `_unit32` per block of the 3CosMul screen: 512 x 300 float32 is
+# 600 KB, so a block stays in L2 while the three queries pass over it
+SCREEN_ROWS = 512
+
+
+def _screen_error(d: int, norm: float) -> float:
+    """A bound on |s32 - fl64(x @ q)| for a row x of `Evaluator._unit` and a
+    float64 query q of 2-norm `norm`, where s32 is the float32 product of
+    their float32 roundings (see the module docstring)."""
+    g = (d + 2) * 2.0 ** -24
+    return g / (1 - g) * (1 + 2.0 ** -10) * norm + d * 2.0 ** -146
 
 
 class UnrepresentableTokenError(ValueError):
@@ -133,6 +169,13 @@ def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return ids[np.lexsort((ids, neg))][:k]
 
 
+def _interval_product(lo1, hi1, lo2, hi2) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest x * y over x in [lo1, hi1], y in [lo2, hi2],
+    elementwise, for bounds of any sign."""
+    corners = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
+    return np.minimum.reduce(corners), np.maximum.reduce(corners)
+
+
 class Evaluator:
     """Read-only query interface over a frozen checkpoint: the vectors of
     `which`, built as `export_vectors` builds them, and every registry
@@ -147,17 +190,25 @@ class Evaluator:
         self.char_index = m.char_index
         self._char_feats = m.char_features().astype(np.float64)
         if which == "composed":
-            self.matrix = m.compose(np.arange(len(self.vocab)), self._char_feats)
+            matrix = m.compose(np.arange(len(self.vocab)), self._char_feats)
         else:
-            self.matrix = m.tables.word_id_vecs.astype(np.float64)
-        for what, names, rows in (("word", self.vocab.words, self.matrix),
+            matrix = m.tables.word_id_vecs.astype(np.float64)
+        for what, names, rows in (("word", self.vocab.words, matrix),
                                   ("character", m.chars, self._char_feats)):
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if len(bad):
                 raise CheckpointError(f"{what} {names[bad[0]]!r} has a non-finite vector")
-        norms = np.linalg.norm(self.matrix, axis=1)
+        self._set_matrix(matrix)
+
+    def _set_matrix(self, matrix: np.ndarray) -> None:
+        """Set `matrix` and every array the queries derive from it: the
+        usable (non-zero) rows `_usable`, the unit rows `_unit` (a zero row
+        stays zero) and their float32 copy `_unit32`, which the screen reads."""
+        self.matrix = matrix
+        norms = np.linalg.norm(matrix, axis=1)
         self._usable = norms > 0
-        self._unit = self.matrix / np.where(self._usable, norms, 1)[:, None]
+        self._unit = matrix / np.where(self._usable, norms, 1)[:, None]
+        self._unit32 = self._unit.astype(np.float32)
 
     def vector(self, token: str) -> np.ndarray:
         """Composed vector; OOV tokens fall back to averaged char features."""
@@ -178,20 +229,44 @@ class Evaluator:
             raise UnrepresentableTokenError(f"zero vector for {token!r}")
         return v / n
 
-    def _cosines(self, *tokens: str) -> np.ndarray:
-        """Row j is `_unit @ _unit_vector(tokens[j])`, bit for bit, from one
-        pass over `_unit` in blocks of SWEEP_ROWS rows."""
-        queries = [self._unit_vector(t) for t in tokens]
+    def _screen(self, q: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
+        """The ascending ids of the rows of `mask` whose exact score
+        `_unit @ q` may be among the k best: every one of them when there
+        are at most k, else those whose float32 score is at least the k-th
+        best float32 score less twice the screen error."""
+        ids = np.flatnonzero(mask)
+        if k < len(ids):
+            s = (self._unit32 @ q.astype(np.float32))[ids].astype(np.float64)
+            cut = np.partition(s, -k)[-k] - 2 * _screen_error(len(q), np.linalg.norm(q))
+            ids = ids[s >= cut]
+        return ids
+
+    def _exact(self, ids: np.ndarray, *queries: np.ndarray) -> np.ndarray:
+        """Row j holds `_unit @ queries[j]` at the ascending, non-empty `ids`,
+        bit for bit: one gather of the aligned REFINE_ROWS-row blocks that
+        hold them, and one matrix-vector product per query."""
         n = len(self._unit)
-        out = np.empty((len(queries), n))
-        lo = 0
-        # a one-row block would take BLAS's dot kernel, whose sum order is
-        # not the matrix-vector product's, so the last block takes it along
-        for hi in (*range(SWEEP_ROWS, n - 1, SWEEP_ROWS), n):
-            block = self._unit[lo:hi]
-            for q, row in zip(queries, out):
-                np.dot(block, q, out=row[lo:hi])
-            lo = hi
+        blocks = np.unique(ids // REFINE_ROWS)
+        if n > 1 and blocks[0] * REFINE_ROWS == n - 1:
+            # the one-row last block alone would take BLAS's dot kernel,
+            # whose sum order is not the matrix-vector product's
+            blocks = np.array([blocks[0] - 1, blocks[0]])
+        rows = (blocks[:, None] * REFINE_ROWS + np.arange(REFINE_ROWS)).ravel()
+        rows = rows[:np.searchsorted(rows, n)]
+        gathered = self._unit[rows]
+        at = np.searchsorted(rows, ids)
+        return np.stack([(gathered @ q)[at] for q in queries])
+
+    def _screen_cosines(self, queries: list[np.ndarray]) -> np.ndarray:
+        """Row j holds the float32 screen scores `_unit32 @ queries[j]`, from
+        one pass over `_unit32` in blocks of SCREEN_ROWS rows."""
+        q32 = [q.astype(np.float32) for q in queries]
+        n = len(self._unit32)
+        out = np.empty((len(q32), n), np.float32)
+        for lo in range(0, n, SCREEN_ROWS):
+            block = self._unit32[lo:lo + SCREEN_ROWS]
+            for q, row in zip(q32, out):
+                np.dot(block, q, out=row[lo:lo + SCREEN_ROWS])
         return out
 
     # -- similarity -----------------------------------------------------
@@ -227,17 +302,38 @@ class Evaluator:
     def analogy_3cosadd(self, a: str, b: str, h: str) -> str:
         """argmax_t cos(t, b - a + h) over the vocabulary, excluding a, b, h."""
         target = self._unit_vector(b) - self._unit_vector(a) + self._unit_vector(h)
-        scores = self._unit @ target
-        scores[~self._candidates(a, b, h)] = -np.inf
-        return self.vocab.words[int(np.argmax(scores))]
+        ids = self._screen(target, self._candidates(a, b, h), 1)
+        if not len(ids):
+            return self.vocab.words[0]  # the full scan's argmax over -inf alone
+        (scores,) = self._exact(ids, target)
+        return self.vocab.words[ids[np.argmax(scores)]]
 
     def analogy_3cosmul(self, a: str, b: str, h: str) -> str:
         """argmax_t cos01(t,b) * cos01(t,h) / (cos01(t,a) + eps), cosines
-        shifted to [0, 1] via (1 + cos) / 2, eps = EPS_3COSMUL = 0.001."""
-        ca, cb, ch = (1.0 + self._cosines(a, b, h)) / 2.0
+        shifted to [0, 1] via (1 + cos) / 2, eps = EPS_3COSMUL = 0.001.
+
+        The screen turns each float32 cosine into an interval that holds
+        the exact one, and bounds the score over the intervals with signed
+        interval products, so a cosine rounded below -1 stays inside. It
+        keeps the rows whose upper bound reaches the largest lower bound;
+        the relative 2**-40 covers the bounds' own float64 rounding."""
+        queries = [self._unit_vector(t) for t in (a, b, h)]
+        ids = np.flatnonzero(self._candidates(a, b, h))
+        if not len(ids):
+            return self.vocab.words[0]  # the full scan's argmax over -inf alone
+        err = _screen_error(len(queries[0]), max(np.linalg.norm(q) for q in queries))
+        if err < EPS_3COSMUL:  # so that every denominator's interval is positive
+            mid = (1.0 + self._screen_cosines(queries)[:, ids].astype(np.float64)) / 2.0
+            lo, hi = mid - err / 2.0, mid + err / 2.0
+            num_lo, num_hi = _interval_product(lo[1], hi[1], lo[2], hi[2])
+            den_lo, den_hi = lo[0] + EPS_3COSMUL, hi[0] + EPS_3COSMUL
+            upper = np.where(num_hi >= 0, num_hi / den_lo, num_hi / den_hi)
+            lower = np.where(num_lo >= 0, num_lo / den_hi, num_lo / den_lo)
+            best = (lower - 2.0 ** -40 * np.abs(lower)).max()
+            ids = ids[upper + 2.0 ** -40 * np.abs(upper) >= best]
+        ca, cb, ch = (1.0 + self._exact(ids, *queries)) / 2.0
         scores = cb * ch / (ca + EPS_3COSMUL)
-        scores[~self._candidates(a, b, h)] = -np.inf
-        return self.vocab.words[int(np.argmax(scores))]
+        return self.vocab.words[ids[np.argmax(scores)]]
 
     def eval_analogy(self, groups: dict[str, list[tuple[str, str, str, str]]],
                      method: str = "3cosadd") -> tuple[dict[str, float], float]:
@@ -277,6 +373,10 @@ class Evaluator:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        scores = self._unit @ self._unit_vector(token)
-        ids = _top_k(scores, np.nonzero(self._candidates(token))[0], k)
-        return [(self.vocab.words[i], float(scores[i])) for i in ids]
+        q = self._unit_vector(token)
+        ids = self._screen(q, self._candidates(token), k)
+        if not len(ids):
+            return []
+        (scores,) = self._exact(ids, q)
+        return [(self.vocab.words[ids[i]], float(scores[i]))
+                for i in _top_k(scores, np.arange(len(ids)), k)]

@@ -83,7 +83,7 @@ class CnnParams:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def zeros_like(self) -> "CnnParams":
-        return CnnParams(*(np.zeros_like(t) for _, t in self.tensors()))
+        return CnnParams(*(np.zeros(t.shape, t.dtype) for _, t in self.tensors()))
 
     def astype(self, dtype) -> "CnnParams":
         return CnnParams(*(t.astype(dtype) for _, t in self.tensors()))

@@ -126,7 +126,10 @@ class EmbeddingTables:
         return self.word_id_vecs.shape[1]
 
     def zeros_like(self) -> "EmbeddingTables":
-        return EmbeddingTables(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
+        """Zero tables of these shapes and dtype, from `np.zeros`: the kernel's
+        lazily zeroed pages, so nothing is written or resident until used."""
+        tables = (getattr(self, f.name) for f in fields(self))
+        return EmbeddingTables(*(np.zeros(t.shape, t.dtype) for t in tables))
 
     def astype(self, dtype) -> "EmbeddingTables":
         return EmbeddingTables(*(getattr(self, f.name).astype(dtype) for f in fields(self)))

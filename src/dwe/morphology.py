@@ -53,7 +53,8 @@ def is_cjk(codepoint: int | str) -> bool:
 def cjk_chars(words: Iterable[str]) -> list[str]:
     """The character registry: the sorted, distinct CJK characters of the
     words. Both channels, the n-gram dictionary and the glyphs index it."""
-    return sorted({c for w in words for c in w if is_cjk(c)})
+    cps = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), "<u4")
+    return list(map(chr, np.unique(cps[(cps >= CJK_LO) & (cps <= CJK_HI)]).tolist()))
 
 
 def ngram_str(label: str) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import math
 import mmap
 import os
@@ -314,8 +315,37 @@ def _ngram_dict_lines(nd: StrokeNgramDict, config: TrainingConfig, chars: list[s
     skipped = [c for c in chars if c not in nd.per_char]
     return [f"n_min={config.n_min} n_max={config.n_max}", f"ngrams={len(nd)}", *nd.ngrams,
             f"chars={len(nd.per_char)}",
-            *(f"{c}\t{','.join(map(str, nd.per_char[c]))}" for c in sorted(nd.per_char)),
+            *_id_lines(nd.per_char),
             f"skipped={len(skipped)}", *skipped]
+
+
+def _id_lines(per_char: dict[str, list[int]]) -> list[str]:
+    """`CHAR<TAB>ids` for each character in sorted order, the ids joined
+    by commas, as `f"{c}\t{','.join(map(str, ids))}"` writes it. The ids of
+    ID_BLOCK lines at a time go into a grid of fixed-width uint8 fields,
+    digits right-aligned after zeros and a comma or newline last, and the
+    text is the grid's non-zero bytes, as `_write_rows` builds a row."""
+    chars = sorted(per_char)
+    lines = []
+    for lo in range(0, len(chars), ID_BLOCK):
+        lists = [per_char[c] for c in chars[lo:lo + ID_BLOCK]]
+        counts = np.array([len(ids) for ids in lists])
+        ids = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(counts.sum()))
+        digits = len(str(int(ids.max(initial=0))))
+        grid = np.zeros((len(ids), digits + 1), np.uint8)
+        grid[:, -1] = ord(",")
+        grid[np.cumsum(counts[counts > 0]) - 1, -1] = ord("\n")  # a line's last id
+        rest = ids
+        for k in range(digits):  # from the units up, no leading zeros
+            rest, digit = np.divmod(rest, 10)
+            place = grid[:, digits - 1 - k]
+            np.add(digit, ord("0"), out=place, casting="unsafe")
+            if k:
+                place[ids < 10 ** k] = 0
+        joined = iter(grid.tobytes().translate(None, b"\0").decode().split("\n"))
+        lines += (f"{c}\t{next(joined) if n else ''}"
+                  for c, n in zip(chars[lo:lo + ID_BLOCK], counts.tolist()))
+    return lines
 
 
 def _counter_lines(counters: tuple[int, int]) -> list[str]:
@@ -502,7 +532,9 @@ def _parse_vocab(lines: list[str]) -> Vocab:
     return vocab
 
 
-ID_BLOCK = 256  # lines per `_ngram_ids` call; as `morphology.LABEL_BLOCK`, for peak memory
+# lines per `_ngram_ids` call and per `_id_lines` grid; as `morphology.LABEL_BLOCK`,
+# for peak memory
+ID_BLOCK = 256
 
 
 def _parse_ngram_dict(lines: list[str], config: TrainingConfig,

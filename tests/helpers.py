@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from dwe.corpus import Vocab
+from dwe.evaluation import Evaluator
 from dwe.glyph_cnn import CnnParams, cnn_init, cnn_shapes
 from dwe.model import DweModel, EmbeddingTables, init_tables
 from dwe.morphology import GLYPH_BYTES, GLYPH_SIDE, StrokeNgramDict, build_ngram_dict
@@ -180,6 +181,39 @@ def brute_3cosmul(words, matrix, a, b, h, eps=0.001):
         if s > best_score:
             best, best_score = w, s
     return best
+
+
+def evaluator_over(matrix):
+    """An Evaluator whose vocabulary is the words w0, w1, ... with the rows
+    of `matrix` as their vectors, and no characters."""
+    ev = object.__new__(Evaluator)
+    ev.vocab = Vocab([f"w{i}" for i in range(len(matrix))], np.ones(len(matrix)), len(matrix))
+    ev.char_index = {}
+    ev._set_matrix(matrix)
+    return ev
+
+
+# The evaluator's queries as one full float64 scan of `_unit`: the
+# reference that the screen and exact refine must equal bit for bit.
+
+def scan_nearest(ev, token, k):
+    scores = ev._unit @ ev._unit_vector(token)
+    ids = np.flatnonzero(ev._candidates(token))
+    return [(ev.vocab.words[i], float(scores[i]))
+            for i in ids[np.lexsort((ids, -scores[ids]))][:k]]
+
+
+def scan_3cosadd(ev, a, b, h):
+    scores = ev._unit @ (ev._unit_vector(b) - ev._unit_vector(a) + ev._unit_vector(h))
+    scores[~ev._candidates(a, b, h)] = -np.inf
+    return ev.vocab.words[int(np.argmax(scores))]
+
+
+def scan_3cosmul(ev, a, b, h, eps=0.001):
+    ca, cb, ch = (1.0 + np.stack([ev._unit @ ev._unit_vector(t) for t in (a, b, h)])) / 2.0
+    scores = cb * ch / (ca + eps)
+    scores[~ev._candidates(a, b, h)] = -np.inf
+    return ev.vocab.words[int(np.argmax(scores))]
 
 
 def handmade_checkpoint():

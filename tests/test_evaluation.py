@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwe import evaluation
@@ -13,7 +13,8 @@ from dwe.evaluation import (Evaluator, SimilarityRecord,
                             load_analogy_dataset, load_similarity_dataset,
                             spearman_rho)
 from dwe.trainer import TrainingConfig, train
-from helpers import brute_3cosadd, brute_3cosmul, make_micro_model, with_char_ngrams
+from helpers import (brute_3cosadd, brute_3cosmul, evaluator_over, make_micro_model,
+                     scan_3cosadd, scan_3cosmul, scan_nearest, with_char_ngrams)
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +158,9 @@ class TestAnalogy:
         a, b, h = words[0], words[1], words[2]
         target = (ev._unit_vector(b) - ev._unit_vector(a) + ev._unit_vector(h))
         # plant the exact target direction in a copied matrix
-        ev.matrix = ev.matrix.copy()
-        ev.matrix[5] = target * 3.0
-        norms = np.linalg.norm(ev.matrix, axis=1)
-        ev._unit = ev.matrix / norms[:, None]
+        matrix = ev.matrix.copy()
+        matrix[5] = target * 3.0
+        ev._set_matrix(matrix)
         assert ev.analogy_3cosadd(a, b, h) == words[5]
 
     def test_exclusion_rule(self, ckpt):
@@ -216,9 +216,7 @@ class TestAnalogy:
     def test_scale_invariance(self, ckpt):
         ev1 = Evaluator(ckpt)
         ev2 = Evaluator(ckpt)
-        ev2.matrix = ev2.matrix * 7.5
-        norms = np.linalg.norm(ev2.matrix, axis=1)
-        ev2._unit = ev2.matrix / norms[:, None]
+        ev2._set_matrix(ev2.matrix * 7.5)
         words = ckpt.vocab.words
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -300,31 +298,103 @@ def test_top_k_equals_full_sort(data):
 
 
 class TestSweep:
-    def test_rows_equal_full_products(self, ckpt, monkeypatch):
-        monkeypatch.setattr(evaluation, "SWEEP_ROWS", 16)
+    """The exact refine (`_exact`) and the blocked float32 screen of 3CosMul."""
+
+    def test_rows_equal_full_products(self, ckpt):
+        # the block rule was measured with 16-row blocks on this BLAS
+        assert evaluation.REFINE_ROWS == 16
         ev = Evaluator(ckpt)
-        assert len(ev._unit) % 16 not in (0, 1)  # several blocks, a ragged last one
-        tokens = ckpt.vocab.words[:3]
-        got = ev._cosines(*tokens)
-        for row, t in zip(got, tokens):
-            np.testing.assert_array_equal(row, ev._unit @ ev._unit_vector(t))
+        n = len(ev._unit)
+        assert n % 16 not in (0, 1)  # several blocks, a ragged last one
+        queries = [ev._unit_vector(t) for t in ckpt.vocab.words[:3]]
+        for ids in (np.arange(n), np.arange(3, n, 5), np.array([17]), np.array([n - 1])):
+            got = ev._exact(ids, *queries)
+            for row, q in zip(got, queries):
+                np.testing.assert_array_equal(row, (ev._unit @ q)[ids])
 
     @pytest.mark.parametrize("n", [1, 2, 17, 33, 34])
-    def test_one_row_remainder_rides_with_last_block(self, ckpt, monkeypatch, n):
-        monkeypatch.setattr(evaluation, "SWEEP_ROWS", 16)
+    def test_one_row_remainder_rides_with_last_block(self, ckpt, n):
         ev = Evaluator(ckpt)
-        ev._unit = ev._unit[:n].copy()
-        t = ckpt.vocab.words[0]
-        np.testing.assert_array_equal(ev._cosines(t)[0], ev._unit @ ev._unit_vector(t))
+        queries = [ev._unit_vector(t) for t in ckpt.vocab.words[:3]]
+        ev._set_matrix(ev.matrix[:n].copy())
+        for q in queries:
+            full = ev._unit @ q
+            for i in range(n):
+                np.testing.assert_array_equal(ev._exact(np.array([i]), q)[0], full[[i]])
+            np.testing.assert_array_equal(ev._exact(np.arange(n), q)[0], full)
 
     def test_3cosmul_matches_brute_force_at_both_block_sizes(self, ckpt, monkeypatch):
         ev = Evaluator(ckpt)
         words = ckpt.vocab.words
         triples = list(itertools.permutations(words[:8], 3))
         want = [brute_3cosmul(words, ev.matrix, a, b, h) for a, b, h in triples]
-        for rows in (evaluation.SWEEP_ROWS, 16):
-            monkeypatch.setattr(evaluation, "SWEEP_ROWS", rows)
+        for rows in (evaluation.SCREEN_ROWS, 16):
+            monkeypatch.setattr(evaluation, "SCREEN_ROWS", rows)
             assert [ev.analogy_3cosmul(*t) for t in triples] == want
+
+
+def _outcome(query, *args):
+    """What a query returns, its cosines as exact bits, or the type of
+    error it raises."""
+    try:
+        got = query(*args)
+    except UnrepresentableTokenError as exc:
+        return type(exc)
+    return [(w, c.hex()) for w, c in got] if isinstance(got, list) else got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_queries_equal_the_full_float64_scan(data):
+    n = data.draw(st.sampled_from([1, 2, 15, 16, 17, 33]), label="n")
+    d = data.draw(st.sampled_from([1, 2, 5, 300]), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="small integers"):
+        matrix = rng.integers(-2, 3, (n, d)).astype(np.float64)  # ties in every form
+    else:
+        matrix = rng.normal(size=(n, d))
+    plant = st.tuples(st.sampled_from(["tie", "near tie", "float32 near tie", "zero"]),
+                      st.integers(0, n - 1), st.integers(0, n - 1))
+    for kind, i, j in data.draw(st.lists(plant, max_size=n), label="plants"):
+        if kind == "tie":  # a power-of-two multiple has the same unit row
+            matrix[i] = 2.0 * matrix[j]
+        elif kind == "near tie":  # a few float64 ulps apart
+            matrix[i] = matrix[j]
+            matrix[i, 0] = np.nextafter(matrix[i, 0], np.inf) + 4 * np.spacing(matrix[i, 0])
+        elif kind == "float32 near tie":  # apart by about the screen's rounding
+            matrix[i] = matrix[j] * (1 + rng.uniform(-1, 1, d) * 2.0 ** -22)
+        else:
+            matrix[i] = 0.0
+    ev = evaluator_over(matrix)
+    words = ev.vocab.words
+    token = data.draw(st.sampled_from(words), label="token")
+    k = data.draw(st.integers(1, n + 2), label="k")
+    assert _outcome(ev.nearest_neighbors, token, k) == _outcome(scan_nearest, ev, token, k)
+    a, b, h = (data.draw(st.sampled_from(words), label=x) for x in "abh")
+    assert _outcome(ev.analogy_3cosadd, a, b, h) == _outcome(scan_3cosadd, ev, a, b, h)
+    assert _outcome(ev.analogy_3cosmul, a, b, h) == _outcome(scan_3cosmul, ev, a, b, h)
+
+
+@pytest.mark.parametrize("d", [5, 300])
+@pytest.mark.parametrize("n", [17, 33])
+def test_only_the_last_row_qualifies(n, d):
+    # n = 1 mod 16: the one row the screen keeps is a one-row last block
+    matrix = np.random.default_rng(n + d).normal(size=(n, d))
+    matrix[1] = -matrix[0]
+    matrix[n - 1] = 2.0 * matrix[0]  # cosine 1 to w0, -1 to w1
+    ev = evaluator_over(matrix)
+    w, last = ev.vocab.words, ev.vocab.words[n - 1]
+    q = ev._unit_vector(w[0])
+    np.testing.assert_array_equal(ev._screen(q, ev._candidates(w[0]), 1), [n - 1])
+    assert _outcome(ev.nearest_neighbors, w[0], 1) == _outcome(scan_nearest, ev, w[0], 1)
+    assert ev.nearest_neighbors(w[0], 1)[0][0] == last
+    assert ev.analogy_3cosmul(w[1], w[0], w[0]) == scan_3cosmul(ev, w[1], w[0], w[0]) == last
+    target = ev._unit_vector(w[3]) - ev._unit_vector(w[2]) + q
+    matrix[n - 1] = 3.0 * target
+    ev = evaluator_over(matrix)
+    np.testing.assert_array_equal(ev._screen(target, ev._candidates(w[2], w[3], w[0]), 1),
+                                  [n - 1])
+    assert ev.analogy_3cosadd(w[2], w[3], w[0]) == scan_3cosadd(ev, w[2], w[3], w[0]) == last
 
 
 class TestDatasetLoaders:

@@ -42,6 +42,13 @@ class TestIsCjk:
     def test_registry_is_sorted_distinct_cjk_characters(self):
         assert cjk_chars(["国中", "A中", "〇x", "", "国"]) == ["中", "国"]
 
+    @given(st.lists(st.text(st.one_of(st.sampled_from("\u4dff\u4e00\u9fa5\u9fa6\U00020000"),
+                                      st.characters(min_codepoint=0x4DF0, max_codepoint=0x4E10),
+                                      st.characters(min_codepoint=0x9FA0, max_codepoint=0x9FB0),
+                                      st.characters()))))
+    def test_registry_equals_the_set_definition(self, words):
+        assert cjk_chars(words) == sorted({c for w in words for c in w if is_cjk(c)})
+
 
 class TestExtractNgrams:
     def test_three_stroke_sequence(self):

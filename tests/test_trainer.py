@@ -733,6 +733,18 @@ class TestCheckpointIO:
         assert all(type(i) is int for ids in back.ngram_dict.per_char.values() for i in ids)
         assert dump_checkpoint(back) == blob
 
+    @settings(max_examples=60, deadline=None)
+    @given(lists=st.lists(st.lists(st.one_of(st.sampled_from([0, 9, 10, 99_999]),
+                                             st.integers(0, 10 ** 12)), max_size=12),
+                          max_size=40),
+           block=st.sampled_from([1, 3, 256]))
+    def test_id_lines_equal_the_str_join_form(self, lists, block):
+        per_char = {chr(0x4E00 + 7 * i): ids for i, ids in enumerate(lists)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer_module, "ID_BLOCK", block)
+            got = trainer_module._id_lines(per_char)
+        assert got == [f"{c}\t{','.join(map(str, per_char[c]))}" for c in sorted(per_char)]
+
     def test_failed_save_leaves_old_file(self, trained, tmp_path):
         p = tmp_path / "m.dwe"
         save_checkpoint(trained, p)
