@@ -16,7 +16,11 @@ one block. The eighth trains one stroke-only epoch (dim 12 as above) on
 a registry built the same way but with stroke codes drawn from 1..3, so
 that many characters share each n-gram: a step holds 9 to 14 rows of its
 most shared n-gram, where the synthetic set's steps hold at most 2, so
-the n-gram gradient sums run that many rounds. Exits 1 if any digest changed.
+the n-gram gradient sums run that many rounds. The ninth, printed after
+the seventh, is the float64 read path of the seventh's model: the bytes of
+`Evaluator(ckpt).matrix` and then of its `_char_feats`, the character
+features and their float64 composition that every query reads. Exits 1 if
+any digest changed.
 
 Usage:
     python3 scripts/digests.py
@@ -30,6 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from dwe.evaluation import Evaluator
 from dwe.morphology import GLYPH_SIDE, write_glyph_pack, write_stroke_table
 from dwe.synthetic import make_synthetic_dataset
 from dwe.trainer import TrainingConfig, dump_checkpoint, export_vectors, train
@@ -49,6 +54,7 @@ EXPORTS = {"composed": "d254e12417d7d6c36d7c4c9c5b3d99eab00016c8b984e5425a2bc3d2
            "word_id": "d52e1ef8b6a42a5e4121b943ae69accdae291ce66a0d1991bf00b24f5bc867aa"}
 WIDE_CHARS = 640
 WIDE_EXPORT = "07b38de5018b0d3ddedb20382742648a5a81ae14c656fe4497ba3da5c4057c80"
+WIDE_EVALUATOR = "541664be13746c65db5d17b73abf6f64b1eed7f75fa4ef5f6465efc807c5118d"
 SHARED_CODES = 3  # stroke codes of the shared-n-gram registry: 1..SHARED_CODES
 SHARED_TRAIN = "19d1b5db46602f3b2ef16776d15ec2b89d6e2bca6c3af5e07a16519f60a95220"
 
@@ -95,6 +101,10 @@ def main() -> int:
         export_vectors(ckpt, path, "composed")
         all_ok &= check("wide-registry export composed",
                         hashlib.sha256(path.read_bytes()).hexdigest(), WIDE_EXPORT)
+        ev = Evaluator(ckpt)
+        all_ok &= check("wide-registry evaluator float64",
+                        hashlib.sha256(ev.matrix.tobytes() + ev._char_feats.tobytes()).hexdigest(),
+                        WIDE_EVALUATOR)
         ckpt = train(*write_wide_registry(Path(out_dir), SHARED_CODES),
                      TrainingConfig(**{**BASE, "epochs": 1, "use_glyphs": False}), log=None)
         all_ok &= check("shared-ngram registry use_glyphs=False",

@@ -3,10 +3,10 @@
 Layout for a 28x28 binary input: conv(5x5, 6) -> maxpool 2x2 -> ReLU ->
 conv(5x5, 16) -> maxpool 2x2 -> ReLU -> flatten(256) -> fc 120 -> ReLU ->
 fc 84 -> ReLU -> fc d. Convolutions are valid (no padding), stride 1, and
-unrolled into one GEMM each (im2col). Pooling is 2x2 stride 2 with the
-gradient going to the first (row-major) position that holds the max.
-ReLU comes after pooling: the two commute, and the pooled array is 4x
-smaller.
+unrolled (im2col) into one (Ho*Wo, C*k*k) GEMM per glyph, as are their
+columns' gradients. Pooling is 2x2 stride 2 with the gradient going to
+the first (row-major) position that holds the max. ReLU comes after
+pooling: the two commute, and the pooled array is 4x smaller.
 
 A conv layer reads its input channels-first, (B, C, H, W): the bitmaps
 as they are and layer 1's ReLU output, which the ReLU writes in that
@@ -16,37 +16,48 @@ gradients are channels-last, (B, H, W, C), up to the flatten, which
 reads the last pooled map in (C, H, W) order; that order fixes the row
 order of fc1_w. Conv weights are (O, C, k, k).
 
-A pass writes its activations and large intermediates (im2col columns,
-conv outputs, pooled maps, unpool masks, the col2im gradients and the
-two copies of each conv's output gradient that fix the sum order of its
-weight and bias gradients) into a `CnnBuffers` set through `out=` and
-in-place ops: the same operations in the same order as on fresh arrays,
-so reuse does not change a bit. `DweModel` owns one set for its
-training step, and `char_features` makes one per call; other callers
-get a fresh set by default. A set grows, at least doubling, to the
-largest batch it has seen, after which a training step maps no new
-memory. A `CnnTape` is views of its set and lives until the next pass
-on that set: the backward pass writes each gradient into the dead
-activation of its shape (the columns' gradient into col2, dpre into
-pre2 and pre1). Nothing a call returns aliases a set: features and
-gradients are fresh arrays.
+A training pass writes its activations and large intermediates (im2col
+columns, conv outputs, pooled maps, unpool masks, the col2im gradients
+and the two copies of each conv's output gradient that fix the sum order
+of its weight and bias gradients) into a `CnnBuffers` set through `out=`
+and in-place ops: the same operations in the same order as on fresh
+arrays, so reuse does not change a bit. `DweModel` owns one set for its
+training step. A set grows, at least doubling, to the largest batch it
+has seen, after which a training step maps no new memory. A `CnnTape` is
+views of its set and lives until the next pass on that set: the backward
+pass writes each gradient into the dead activation of its shape (the
+columns' gradient into col2, dpre into pre2 and pre1). Nothing a call
+returns aliases a set: features and gradients are fresh arrays.
+
+A forward pass given no set keeps no tape; `char_features` runs the
+registry that way. Each worker then writes its blocks' per-glyph arrays
+into a scratch set of its own, CNN_BLOCK glyphs of each, reused block
+after block and freed before the fc layers, and only `flat` and the fc
+outputs hold the whole batch: at 256 glyphs and two workers about half
+the bytes of a tape. One stage function runs the same operations in
+both modes, so the features' bits are the same.
 
 The forward pass runs its per-glyph stages (im2col, the conv GEMMs,
 pooling and the ReLUs) in blocks of CNN_BLOCK glyphs, on CNN_WORKERS
 threads when there is more than one block: `run_workers` runs them on
 the calling thread and helpers started for the call. numpy releases the
-GIL in those loops, so the blocks use a second core. The calling thread takes
-every buffer first; a block then writes only its own rows of them, so
-blocks write disjoint memory and allocate nothing. Each glyph's output
-row is its own GEMM in numpy's stacked `matmul`, so the bits do not
-depend on the blocks or the worker count. The fc layers, whose bits do
-depend on the row count, run once over the whole batch in the calling
-thread, as does the backward pass.
+GIL in those loops, so the blocks use a second core. The calling thread
+takes every buffer first, the tape's or each worker's scratch; a block
+then writes only its own rows of the tape, or of its worker's scratch,
+so blocks write disjoint memory and allocate nothing. Each glyph is its
+own GEMM in numpy's stacked `matmul`, so the bits do not depend on the
+blocks or the worker count. Its bits equal those of one GEMM per output
+row, with 24 times fewer calls for conv1: per-row calls are so small
+that two threads ran them slower than one. One 2-D GEMM over a block's
+rows changes conv2's bits. The fc layers, whose bits do depend on the
+row count, run once over the whole batch in the calling thread, as does
+the backward pass.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -122,14 +133,15 @@ class CnnBuffers:
     if that is more. So the first take of a name is exact, an array is
     replaced at most once per doubling of the batch, and a set grows to
     the largest batch it has seen and then allocates nothing. A set that
-    never grows, like `char_features`'s, holds no slack: numpy backs
-    large arrays with 2 MB huge pages, which make slack past the used
-    part resident. `passes` counts the forward and backward passes run
-    on the set, which tells a live tape from a stale one. One set serves
-    one pass at a time, and only the pass's calling thread takes from it:
-    the forward pass's glyph blocks each write their own rows of arrays
-    taken for the whole batch, so two blocks never write the same bytes
-    (a name is therefore never taken at two sizes per glyph in one pass).
+    never grows holds no slack: numpy backs large arrays with 2 MB huge
+    pages, which make slack past the used part resident. `passes` counts
+    the forward and backward passes run on the set, which tells a live
+    tape from a stale one. One set serves one pass at a time, and only
+    the pass's calling thread takes from it: the forward pass's glyph
+    blocks each write their own rows of arrays taken for the whole batch,
+    so two blocks never write the same bytes (a name is therefore never
+    taken at two sizes per glyph in one pass). A pass without a tape
+    uses no set.
     """
 
     def __init__(self):
@@ -151,16 +163,26 @@ class CnnBuffers:
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, col: np.ndarray, out: np.ndarray):
     """Valid stride-1 convolution of x (B, C, H, W), C-contiguous in the
     dtype of w, into out (B, Ho, Wo, O), through its columns, written into
-    col (B, Ho, Wo, C*k*k). A column's C*k runs of k floats,
-    x[b, c, y+i, x:x+k], are contiguous in x, so im2col is one copy of
-    k-float items."""
+    col (B, Ho, Wo, C*k*k), C-contiguous like out. A column's C*k runs of
+    k floats, x[b, c, y+i, x:x+k], are contiguous in x, so im2col is one
+    copy of k-float items. The product is one GEMM per glyph."""
     o, c, k, _ = w.shape
     run = np.dtype((np.void, k * x.itemsize))
     sb, sc, sh, sw = x.strides
     runs = np.ndarray(col.shape[:3] + (c, k), run, x, strides=(sb, sh, sw, sc, sh))
     np.copyto(col.view(run).reshape(runs.shape), runs)
-    np.matmul(col, w.reshape(o, -1).T, out=out)
+    np.matmul(_per_glyph(col), w.reshape(o, -1).T, out=_per_glyph(out))
     out += b
+
+
+def _per_glyph(a: np.ndarray) -> np.ndarray:
+    """(B, Ho, Wo, N) a as the view (B, Ho*Wo, N): the operand of one GEMM
+    per glyph in a stacked `matmul`. A copy would lose what `out=` writes,
+    so a must be C-contiguous."""
+    b, ho, wo, n = a.shape
+    if not a.flags.c_contiguous:
+        raise ValueError("a per-glyph GEMM operand must be C-contiguous")
+    return a.reshape(b, ho * wo, n)
 
 
 def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray, buffers: CnnBuffers):
@@ -185,10 +207,10 @@ def _conv_grads(dout: np.ndarray, col: np.ndarray, w: np.ndarray, buffers: CnnBu
 def _conv_input_grad(dout: np.ndarray, w: np.ndarray, dcol: np.ndarray,
                      dx: np.ndarray) -> np.ndarray:
     """Gradient of _conv w.r.t. its input, written into dx (B, H, W, C):
-    the columns' gradient goes into dcol (B, Ho, Wo, C*k*k), then col2im
-    as k*k slice-adds."""
+    the columns' gradient goes into dcol (B, Ho, Wo, C*k*k), one GEMM per
+    glyph, then col2im as k*k slice-adds."""
     o, c, k, _ = w.shape
-    np.matmul(dout, w.reshape(o, -1), out=dcol)
+    np.matmul(_per_glyph(dout), w.reshape(o, -1), out=_per_glyph(dcol))
     b, ho, wo = dcol.shape[:3]
     dcol = dcol.reshape(b, ho, wo, c, k, k)
     dx.fill(0)
@@ -252,6 +274,16 @@ class CnnTape:
     pass_id: int      # buffers.passes after the forward pass
 
 
+def _scratch(shapes: dict[str, tuple[int, ...]], dtype) -> dict[str, np.ndarray]:
+    """Fresh arrays of the given shapes, as views of one array: numpy asks
+    for huge pages for an array of 4 MiB or more, so a tapeless pass's
+    scratch, made anew for every call, faults in far fewer pages than
+    its parts would."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    parts = np.split(np.empty(sum(sizes), dtype), np.cumsum(sizes)[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
 def _run_blocks(stage, n: int) -> None:
     """stage(lo, hi) for each block [lo, hi) of CNN_BLOCK glyphs of n, on
     up to CNN_WORKERS workers (`run_workers`); one block runs on the
@@ -268,55 +300,88 @@ def cnn_forward_batch(params: CnnParams, bitmaps: np.ndarray,
     another dtype are cast to it unsafely, as `astype` casts; C-contiguous
     bitmaps in the dtype of params are read in place.
 
-    The activations go into `buffers`, a fresh set by default; the tape
-    is views of them. The features are a fresh array. The per-glyph
-    stages run in blocks of CNN_BLOCK glyphs (see the module docstring).
+    With a set, the activations go into `buffers` and the tape is views of
+    them. With none, the pass keeps no tape and returns None for it: each
+    worker runs its blocks in scratch of its own, and only `flat` and the
+    fc layers' outputs hold the whole batch. The features are a fresh
+    array, and the same bits either way. The per-glyph stages run in
+    blocks of CNN_BLOCK glyphs (see the module docstring).
     """
     bitmaps = np.asarray(bitmaps)
     if bitmaps.ndim != 3 or bitmaps.shape[1:] != (GLYPH_SIDE, GLYPH_SIDE):
         raise ValueError(f"expected (B, {GLYPH_SIDE}, {GLYPH_SIDE}) bitmaps, got {bitmaps.shape}")
-    buffers = CnnBuffers() if buffers is None else buffers
-    buffers.passes += 1
     dtype = params.conv1_w.dtype
     b = len(bitmaps)
-
-    def take(name, *shape):
-        return buffers.take(name, shape, dtype)
-
     x = np.ascontiguousarray(bitmaps, dtype)[:, None]
     (o1, c1, k, _), o2 = params.conv1_w.shape, params.conv2_w.shape[0]
     s1 = GLYPH_SIDE - k + 1   # conv1's output side, 24
     s2 = s1 // 2 - k + 1      # conv2's, 8
-    col1, pre1 = take("col1", b, s1, s1, c1 * k * k), take("pre1", b, s1, s1, o1)
-    max1 = take("max1", b, s1 // 2, s1 // 2, o1)
-    relu1 = take("relu1", b, o1, s1 // 2, s1 // 2)  # channels-first: conv2 reads it
-    col2, pre2 = take("col2", b, s2, s2, o1 * k * k), take("pre2", b, s2, s2, o2)
-    max2 = take("max2", b, s2 // 2, s2 // 2, o2)
-    flat = take("flat", b, FLAT_SIZE)
-    # Until its ReLU writes it, each ReLU's output takes the lower halves of
-    # its pooling windows: the same bytes per glyph, so blocks stay disjoint.
-    lower1, lower2 = relu1.reshape(max1.shape), flat.reshape(max2.shape)
-    relu1_hwc = relu1.transpose(0, 2, 3, 1)
+    # the per-glyph shapes of the arrays the blocks write
+    per_glyph = {"col1": (s1, s1, c1 * k * k), "pre1": (s1, s1, o1),
+                 "max1": (s1 // 2, s1 // 2, o1),
+                 "relu1": (o1, s1 // 2, s1 // 2),  # channels-first: conv2 reads it
+                 "col2": (s2, s2, o1 * k * k), "pre2": (s2, s2, o2),
+                 "max2": (s2 // 2, s2 // 2, o2)}
+
+    free, claimed = [], {}  # a pass without a tape: its scratch, by worker
+    if buffers is None:
+        # Each worker's scratch is taken here: memory that a helper thread
+        # allocates stays in its own malloc arena after the call, out of
+        # reach of the calling thread's later arrays. A worker claims one
+        # at its first block (list.pop holds the GIL).
+        n = min(b, CNN_BLOCK)
+        for _ in range(min(CNN_WORKERS, -(-b // CNN_BLOCK))):
+            free.append(_scratch({name: (n,) + shape for name, shape in per_glyph.items()}, dtype))
+
+        def rows(name, lo, hi):
+            # the first hi - lo rows of the running worker's own scratch
+            worker = threading.get_ident()
+            if worker not in claimed:
+                claimed[worker] = free.pop()
+            return claimed[worker][name][:hi - lo]
+
+        flat = np.empty((b, FLAT_SIZE), dtype)
+    else:
+        buffers.passes += 1
+        tape_arrays = {name: buffers.take(name, (b,) + shape, dtype)
+                       for name, shape in per_glyph.items()}
+
+        def rows(name, lo, hi):
+            return tape_arrays[name][lo:hi]
+
+        flat = buffers.take("flat", (b, FLAT_SIZE), dtype)
     flat_hwc = flat.reshape(b, o2, s2 // 2, s2 // 2).transpose(0, 2, 3, 1)
 
     def stage(lo: int, hi: int) -> None:
-        _conv(x[lo:hi], params.conv1_w, params.conv1_b, col1[lo:hi], pre1[lo:hi])
-        _pool(pre1[lo:hi], max1[lo:hi], lower1[lo:hi])
-        np.maximum(max1[lo:hi], 0, out=relu1_hwc[lo:hi])
-        _conv(relu1[lo:hi], params.conv2_w, params.conv2_b, col2[lo:hi], pre2[lo:hi])
-        _pool(pre2[lo:hi], max2[lo:hi], lower2[lo:hi])
-        np.maximum(max2[lo:hi], 0, out=flat_hwc[lo:hi])
+        col1, pre1, max1, relu1, col2, pre2, max2 = (rows(name, lo, hi) for name in per_glyph)
+        # Until its ReLU writes it, each ReLU's output takes the lower halves of
+        # its pooling windows: the same bytes per glyph, so blocks stay disjoint.
+        lower1, lower2 = relu1.reshape(max1.shape), flat[lo:hi].reshape(max2.shape)
+        _conv(x[lo:hi], params.conv1_w, params.conv1_b, col1, pre1)
+        _pool(pre1, max1, lower1)
+        np.maximum(max1, 0, out=relu1.transpose(0, 2, 3, 1))
+        _conv(relu1, params.conv2_w, params.conv2_b, col2, pre2)
+        _pool(pre2, max2, lower2)
+        np.maximum(max2, 0, out=flat_hwc[lo:hi])
 
     _run_blocks(stage, b)
-    h1 = np.matmul(flat, params.fc1_w, out=take("h1", b, params.fc1_w.shape[1]))
-    h1 += params.fc1_b
-    np.maximum(h1, 0, out=h1)
-    h2 = np.matmul(h1, params.fc2_w, out=take("h2", b, params.fc2_w.shape[1]))
-    h2 += params.fc2_b
-    np.maximum(h2, 0, out=h2)
+    free.clear()  # the fc layers need no scratch
+    claimed.clear()
+
+    def fc(a, w, bias, name):
+        h = np.matmul(a, w, out=None if buffers is None else
+                      buffers.take(name, (b, w.shape[1]), dtype))
+        h += bias
+        return np.maximum(h, 0, out=h)
+
+    h1 = fc(flat, params.fc1_w, params.fc1_b, "h1")
+    h2 = fc(h1, params.fc2_w, params.fc2_b, "h2")
     feature = h2 @ params.fc3_w + params.fc3_b
-    tape = CnnTape(col1, pre1, max1, col2, pre2, max2, flat, h1, h2, buffers, buffers.passes)
-    return feature, tape
+    if buffers is None:
+        return feature, None
+    t = tape_arrays
+    return feature, CnnTape(t["col1"], t["pre1"], t["max1"], t["col2"], t["pre2"], t["max2"],
+                            flat, h1, h2, buffers, buffers.passes)
 
 
 def cnn_backward_batch(params: CnnParams, tape: CnnTape, grad_output: np.ndarray) -> CnnParams:

@@ -54,7 +54,10 @@ def log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
-CNN_CHUNK = 256  # glyphs per forward-only CNN call; bounds char_features' one buffer set
+# glyphs per forward-only CNN call: fixes the fc layers' row count, and so
+# the features' bits, and bounds the call's `flat`
+CNN_CHUNK = 256
+SEGMENT_ROWS = 1024  # rows that _segment_sum gathers at a time (at least one segment)
 ADAGRAD_BLOCK = 128 * 300  # floats per pass of adagrad_step_rows: 128 rows at dim 300
 INIT_CHUNK = 4096  # rows per draw of init_tables
 ADAGRAD_EPS = 1e-8  # Adagrad's smoothing term; every checkpoint's config records it
@@ -75,12 +78,18 @@ def _csr_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray):
 
 def _segment_sum(table: np.ndarray, idx: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """Row i is the sum of table[idx[ptr[i]:ptr[i + 1]]] (0 if empty); segments
-    of one length are summed together, so the loop runs over distinct lengths."""
+    of one length n are summed together, SEGMENT_ROWS // n of them (at least
+    one) per gather, so the loop runs over distinct lengths and no gather is
+    much larger than SEGMENT_ROWS rows. Each segment is summed on its own,
+    so the grouping does not change a bit."""
     lens = np.diff(ptr)
     out = np.zeros((len(lens), table.shape[1]), dtype=table.dtype)
     for n in np.unique(lens[lens > 0]):
         sel = np.flatnonzero(lens == n)
-        out[sel] = table[idx[ptr[sel, None] + np.arange(n)]].sum(axis=1)
+        step = max(1, SEGMENT_ROWS // n)
+        for lo in range(0, len(sel), step):
+            group = sel[lo:lo + step]
+            out[group] = table[idx[ptr[group, None] + np.arange(n)]].sum(axis=1)
     return out
 
 
@@ -206,10 +215,10 @@ class DweModel:
 
     # -- composition ----------------------------------------------------
 
-    def _char_factors(self, char_ids: np.ndarray, buffers: CnnBuffers):
+    def _char_factors(self, char_ids: np.ndarray, buffers: CnnBuffers | None = None):
         """(s, v, CNN tape, n-gram sub-CSR) of registry characters, whose
         features are s * v: n-gram sums times CNN outputs, or the identity.
-        The CNN runs in `buffers`."""
+        The CNN runs in `buffers`, or keeps no tape (None) without them."""
         s = v = self._identity
         tape = None
         ngrams = _csr_rows(self.char_ngram_ptr, self.char_ngram_idx, char_ids)
@@ -221,13 +230,12 @@ class DweModel:
 
     def char_features(self) -> np.ndarray:
         """Features of every registry character, in registry order; forward
-        only, CNN_CHUNK glyphs per CNN call, all in one buffer set of this
-        call. Every read of composed vectors starts here."""
+        only, CNN_CHUNK glyphs per tapeless CNN call. Every read of composed
+        vectors starts here."""
         ids = np.arange(len(self.chars))
         out = np.empty((len(ids), self.tables.dim), dtype=self.dtype)
-        buffers = CnnBuffers()
         for lo in range(0, len(ids), CNN_CHUNK):
-            s, v, _, _ = self._char_factors(ids[lo:lo + CNN_CHUNK], buffers)
+            s, v, _, _ = self._char_factors(ids[lo:lo + CNN_CHUNK])
             out[lo:lo + CNN_CHUNK] = s * v
         return out
 
@@ -237,10 +245,15 @@ class DweModel:
 
     def _compose(self, word_ids: np.ndarray, ptr: np.ndarray, feats: np.ndarray,
                  pos: np.ndarray) -> np.ndarray:
-        """Word-ID rows plus the mean of feats[pos] over each word's segment."""
-        counts = np.maximum(np.diff(ptr), 1).astype(feats.dtype)[:, None]
-        return self.tables.word_id_vecs[word_ids].astype(feats.dtype) + \
-            _segment_sum(feats, pos, ptr) / counts
+        """Word-ID rows plus the mean of feats[pos] over each word's segment,
+        in the dtype of feats. The word-ID rows are added SEGMENT_ROWS at a
+        time, to the means in place: the same sums, as addition commutes."""
+        out = _segment_sum(feats, pos, ptr)
+        out /= np.maximum(np.diff(ptr), 1).astype(feats.dtype)[:, None]
+        for lo in range(0, len(word_ids), SEGMENT_ROWS):
+            rows = self.tables.word_id_vecs[word_ids[lo:lo + SEGMENT_ROWS]]
+            out[lo:lo + SEGMENT_ROWS] += rows.astype(feats.dtype, copy=False)
+        return out
 
     def compose(self, word_ids, char_feats: np.ndarray) -> np.ndarray:
         """Composed vectors of vocabulary ids, one row each: word-ID rows

@@ -146,6 +146,17 @@ def group_sum_reference(keys, src, pos):
     return ids, out
 
 
+def segment_sum_reference(table, idx, ptr):
+    """`model._segment_sum` with every segment of one length in one gather,
+    the reference for its blocked gathers."""
+    lens = np.diff(ptr)
+    out = np.zeros((len(lens), table.shape[1]), dtype=table.dtype)
+    for n in np.unique(lens[lens > 0]):
+        sel = np.flatnonzero(lens == n)
+        out[sel] = table[idx[ptr[sel, None] + np.arange(n)]].sum(axis=1)
+    return out
+
+
 # -- brute-force analogy oracles -------------------------------------------
 
 def _cos(u, v):

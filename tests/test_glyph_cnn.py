@@ -10,9 +10,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from dwe import glyph_cnn
-from dwe.glyph_cnn import (CNN_BLOCK, CnnBuffers, CnnParams, CnnTape, _conv, _conv_grads, _pool,
-                           _run_blocks, _unpool, cnn_backward_batch, cnn_forward_batch, cnn_init,
-                           cnn_shapes)
+from dwe.glyph_cnn import (CNN_BLOCK, CnnBuffers, CnnParams, CnnTape, _conv, _conv_grads,
+                           _conv_input_grad, _pool, _run_blocks, _unpool, cnn_backward_batch,
+                           cnn_forward_batch, cnn_init, cnn_shapes)
 from helpers import check_grad_tensor
 
 
@@ -29,7 +29,7 @@ class TestForward:
 
     def test_shape_trace(self):
         params = cnn_init(1, 5, np.float64)
-        feat, tape = cnn_forward_batch(params, random_bitmap(0)[None])
+        feat, tape = cnn_forward_batch(params, random_bitmap(0)[None], CnnBuffers())
         assert tape.col1.shape == (1, 24, 24, 25)
         assert tape.pre1.shape == (1, 24, 24, 6)
         assert tape.max1.shape == (1, 12, 12, 6)
@@ -74,8 +74,9 @@ class TestForward:
                    "float64": rng.normal(0, 1, (6, 28, 28)),  # rounds to float32
                    "strided": ints.astype(np.float32)[::2],
                    "empty": np.zeros((0, 28, 28), np.uint8)}[kind]
-        feat, tape = cnn_forward_batch(params, bitmaps)
-        want, want_tape = cnn_forward_batch(params, np.ascontiguousarray(bitmaps, np.float32))
+        feat, tape = cnn_forward_batch(params, bitmaps, CnnBuffers())
+        want, want_tape = cnn_forward_batch(params, np.ascontiguousarray(bitmaps, np.float32),
+                                            CnnBuffers())
         assert feat.shape == want.shape == (len(bitmaps), 6)
         assert feat.dtype == want.dtype and feat.tobytes() == want.tobytes()
         assert tape.col1.tobytes() == want_tape.col1.tobytes()
@@ -117,6 +118,30 @@ class TestConv:
         want = np.dot(onchw, col.reshape(-1, c * 25)).reshape(w.shape)
         assert dw.dtype == want.dtype and dw.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("layer", ["conv1", "conv2", "dcol"])
+    @CONV_DTYPES
+    def test_per_glyph_products_are_the_per_row_stacks(self, layer, dtype):
+        # one (Ho*Wo, K) GEMM per glyph gives the bits of one (Wo, K) GEMM per
+        # output row, for both convs and for conv2's columns' gradient
+        c, side, o = (1, 28, 6) if layer == "conv1" else (6, 12, 16)
+        ho = side - 4
+        for b in [*range(1, 70), 256]:
+            rng = np.random.default_rng(b)
+            w = rng.normal(0, 1, (o, c, 5, 5)).astype(dtype)
+            if layer == "dcol":
+                dout = rng.normal(0, 1, (b, ho, ho, o)).astype(dtype)
+                got = np.empty((b, ho, ho, c * 25), dtype)
+                _conv_input_grad(dout, w, got, np.empty((b, side, side, c), dtype))
+                want = np.matmul(dout, w.reshape(o, -1))
+            else:
+                x = rng.normal(0, 1, (b, c, side, side)).astype(dtype)
+                bias = rng.normal(0, 1, o).astype(dtype)
+                col, got = np.empty((b, ho, ho, c * 25), dtype), np.empty((b, ho, ho, o), dtype)
+                _conv(x, w, bias, col, got)
+                want = np.matmul(col, w.reshape(o, -1).T)
+                want += bias
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), b
+
 
 class TestInit:
     def test_deterministic(self):
@@ -153,21 +178,21 @@ class TestInit:
 class TestBackward:
     def test_zero_grad_output_zero_grads(self):
         params = cnn_init(0, 8, np.float64)
-        _, tape = cnn_forward_batch(params, random_bitmap(1)[None])
+        _, tape = cnn_forward_batch(params, random_bitmap(1)[None], CnnBuffers())
         grads = cnn_backward_batch(params, tape, np.zeros((1, 8)))
         for _, t in grads.tensors():
             assert (t == 0).all()
 
     def test_fc3_bias_gradient_is_grad_output(self):
         params = cnn_init(1, 8, np.float64)
-        _, tape = cnn_forward_batch(params, random_bitmap(2)[None])
+        _, tape = cnn_forward_batch(params, random_bitmap(2)[None], CnnBuffers())
         go = np.arange(8, dtype=np.float64)
         grads = cnn_backward_batch(params, tape, go[None])
         np.testing.assert_array_equal(grads.fc3_b, go)
 
     def test_mismatched_grad_output(self):
         params = cnn_init(1, 8, np.float64)
-        _, tape = cnn_forward_batch(params, random_bitmap(2)[None])
+        _, tape = cnn_forward_batch(params, random_bitmap(2)[None], CnnBuffers())
         with pytest.raises(ValueError):
             cnn_backward_batch(params, tape, np.zeros((2, 8)))
 
@@ -184,7 +209,7 @@ class TestBackward:
             feat, _ = cnn_forward_batch(params, bm[None])
             return float(go @ feat[0])
 
-        _, tape = cnn_forward_batch(params, bm[None])
+        _, tape = cnn_forward_batch(params, bm[None], CnnBuffers())
         grads = cnn_backward_batch(params, tape, go[None])
         for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
             worst = check_grad_tensor(p, g, loss, rng, max_coords=15)
@@ -203,7 +228,7 @@ class TestBuffers:
             go = rng.normal(0, 1, (b, 7)).astype(np.float32)
             feat, tape = cnn_forward_batch(params, bitmaps, buffers)
             grads = cnn_backward_batch(params, tape, go)
-            fresh_feat, fresh_tape = cnn_forward_batch(params, bitmaps)
+            fresh_feat, fresh_tape = cnn_forward_batch(params, bitmaps, CnnBuffers())
             fresh = cnn_backward_batch(params, fresh_tape, go)
             assert feat.tobytes() == fresh_feat.tobytes()
             for (name, g), (_, f) in zip(grads.tensors(), fresh.tensors()):
@@ -289,7 +314,7 @@ class TestBlocks:
 
         def run(workers):
             monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", workers)
-            feat, tape = cnn_forward_batch(params, bitmaps)
+            feat, tape = cnn_forward_batch(params, bitmaps, CnnBuffers())
             got = [feat] + [getattr(tape, name).copy() for name in arrays]
             return got + [g for _, g in cnn_backward_batch(params, tape, go).tensors()]
 
@@ -303,6 +328,52 @@ class TestBlocks:
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (workers, i)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [0, 1, CNN_BLOCK - 1, CNN_BLOCK, CNN_BLOCK + 1,
+                                   4 * CNN_BLOCK + 1])
+    def test_tapeless_features_equal_the_taped_ones(self, monkeypatch, dtype, b):
+        # at 1, 2 and 3 workers, each reusing its own scratch block after
+        # block, finely interleaved
+        params = cnn_init(b + 1, 9, dtype)
+        bitmaps = np.random.default_rng(b).integers(0, 2, (b, 28, 28)).astype(np.uint8)
+        want, _ = cnn_forward_batch(params, bitmaps, CnnBuffers())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", workers)
+                feat, tape = cnn_forward_batch(params, bitmaps)
+                assert tape is None
+                assert feat.dtype == want.dtype and feat.tobytes() == want.tobytes(), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, CNN_BLOCK + 1, 5 * CNN_BLOCK + 3])
+    def test_a_tapeless_pass_takes_one_scratch_per_worker(self, monkeypatch, workers, n):
+        # one scratch per worker that can get a block, of the tape's arrays at
+        # min(n, CNN_BLOCK) glyphs, all taken on the calling thread
+        made = []
+
+        def recording(shapes, dtype):
+            made.append((threading.get_ident(), shapes))
+            return scratch(shapes, dtype)
+
+        scratch = glyph_cnn._scratch
+        monkeypatch.setattr(glyph_cnn, "CNN_WORKERS", workers)
+        monkeypatch.setattr(glyph_cnn, "_scratch", recording)
+        params = cnn_init(0, 5)
+        bitmaps = np.random.default_rng(2).integers(0, 2, (n, 28, 28))
+        cnn_forward_batch(params, bitmaps)
+        assert len(made) == min(workers, -(-n // CNN_BLOCK))
+        _, tape = cnn_forward_batch(params, bitmaps[:CNN_BLOCK], CnnBuffers())
+        want = {name: getattr(tape, name).shape for name in ("col1", "pre1", "max1", "col2",
+                                                             "pre2", "max2")}
+        for thread, shapes in made:
+            assert thread == threading.get_ident()
+            assert {name: shapes[name] for name in want} == want
+            assert shapes["relu1"] == (min(n, CNN_BLOCK), 6, 12, 12)
 
     @pytest.mark.parametrize("workers, n", [
         (1, 3 * CNN_BLOCK), (2, CNN_BLOCK), (2, CNN_BLOCK + 1), (3, 5 * CNN_BLOCK - 2)])

@@ -1,20 +1,23 @@
 import copy
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwe import glyph_cnn
 from dwe import model as model_module
 from dwe.corpus import Vocab
-from dwe.glyph_cnn import CnnTape, cnn_forward_batch, cnn_init
-from dwe.model import (ADAGRAD_BLOCK, INIT_CHUNK, DweModel, adagrad_step, adagrad_step_rows,
-                       init_tables, log_sigmoid, sigmoid)
+from dwe.glyph_cnn import CNN_BLOCK, FLAT_SIZE, CnnBuffers, CnnTape, cnn_forward_batch, cnn_init
+from dwe.model import (ADAGRAD_BLOCK, CNN_CHUNK, INIT_CHUNK, SEGMENT_ROWS, DweModel,
+                       adagrad_step, adagrad_step_rows, init_tables, log_sigmoid, sigmoid)
 from dwe.morphology import build_ngram_dict
 from helpers import (check_grad_tensor, group_sum_reference, make_micro_model,
-                     sgns_reference_adagrad, with_char_ngrams)
+                     segment_sum_reference, sgns_reference_adagrad, with_char_ngrams)
 
 
 class TestLogSigmoid:
@@ -321,6 +324,89 @@ def test_group_sum_equals_the_add_at_reference_bit_for_bit(keys, dtype, d, seed)
     assert out.dtype == ref_out.dtype and out.shape == ref_out.shape == (len(ids), d)
     assert out.tobytes() == ref_out.tobytes()
     assert not np.shares_memory(out, src)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lens=st.lists(st.integers(0, 9), max_size=60), long=st.booleans(),
+       rows=st.sampled_from([1, 2, 5, SEGMENT_ROWS]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       d=st.sampled_from([1, 2, 5, 32, 300]), seed=st.integers(0, 2**32 - 1))
+def test_blocked_segment_sum_equals_one_whole_gather(lens, long, rows, dtype, d, seed):
+    # segments of one length in groups of rows // length, empty ones among
+    # them, and with `long` one segment longer than the block
+    rng = np.random.default_rng(seed)
+    if long:
+        lens.insert(int(rng.integers(0, len(lens) + 1)), rows + 1 + int(rng.integers(0, 3)))
+    ptr = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+    # values of mixed scale, so that another add order would round differently
+    table = (rng.normal(size=(int(rng.integers(1, 40)), d))
+             * 10.0 ** rng.integers(-3, 4, size=(1, d))).astype(dtype)
+    idx = rng.integers(0, len(table), ptr[-1])
+    with mock.patch.object(model_module, "SEGMENT_ROWS", rows):
+        got = model_module._segment_sum(table, idx, ptr)
+    want = segment_sum_reference(table, idx, ptr)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(lens), d)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestReadPathMemory:
+    """The read path's traced peak: the CNN keeps no tape, and composition
+    gathers bounded blocks. A registry of 640 characters at dim 300 runs
+    three CNN_CHUNK calls, and 3 000 words of 2 to 4 of them."""
+
+    D = 300
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(7)
+        chars = [chr(0x4E00 + i) for i in range(640)]
+        words = list(dict.fromkeys("".join(rng.choice(chars, int(rng.integers(2, 5))))
+                                   for _ in range(3100)))[:3000]
+        vocab = Vocab(words, np.ones(len(words)), len(words))
+        strokes = {c: rng.integers(1, 33, int(rng.integers(4, 9))).tolist() for c in chars}
+        glyphs = {c: rng.integers(0, 2, (28, 28)).astype(np.uint8) for c in chars}
+        ngram_dict = build_ngram_dict(strokes, set(chars), 3, 6)
+        tables = init_tables(len(words), len(ngram_dict), self.D, 1, np.float32)
+        return DweModel(vocab, ngram_dict, glyphs, tables, cnn_init(2, self.D))
+
+    @staticmethod
+    def traced(call):
+        """(result, peak bytes traced above the memory at the call)."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_char_features_keep_no_tape(self, model):
+        f4 = np.dtype(np.float32).itemsize
+        feats, peak = self.traced(model.char_features)
+        assert len(model.chars) > 2 * CNN_CHUNK
+        # the tape a set holds for one chunk: every array it takes
+        tape = CnnBuffers()
+        cnn_forward_batch(model.cnn, np.zeros((CNN_CHUNK, 28, 28), np.float32), tape)
+        assert peak - feats.nbytes < tape.nbytes
+        # each worker's CNN_BLOCK-glyph scratch; one chunk's flat, fc outputs,
+        # fc3 product, factors and their product; one block of n-gram rows
+        scratch = CnnBuffers()
+        cnn_forward_batch(model.cnn, np.zeros((CNN_BLOCK, 28, 28), np.float32), scratch)
+        per_block = scratch.nbytes - CNN_BLOCK * (FLAT_SIZE + 120 + 84) * f4
+        budget = (glyph_cnn.CNN_WORKERS * per_block
+                  + CNN_CHUNK * (FLAT_SIZE + 120 + 84 + 4 * self.D) * f4
+                  + SEGMENT_ROWS * self.D * f4)
+        assert peak - feats.nbytes <= budget, (peak - feats.nbytes, budget)
+
+    def test_compose_gathers_bounded_blocks(self, model):
+        feats = model.char_features().astype(np.float64)
+        ids = np.arange(len(model.vocab))
+        out, peak = self.traced(lambda: model.compose(ids, feats))
+        # one gather of SEGMENT_ROWS float64 rows and its sums, then one
+        # block of word-ID rows and their float64 copy
+        block = SEGMENT_ROWS * self.D * feats.itemsize
+        assert out.nbytes > 2 * block  # so no whole-size temporary fits
+        assert peak - out.nbytes <= 2 * block, (peak - out.nbytes, 2 * block)
 
 
 class TestAdagrad:
